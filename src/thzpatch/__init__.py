@@ -26,8 +26,8 @@ from .materials import (FERMI_LEVEL_RANGE_EV, RELAXATION_RANGE_S,
                         GrapheneSheet, SheetConductivity, SheetImpedance,
                         drude_weight, kubo_sigma, mobility,
                         relaxation_from_mobility, sheet_impedance)
-from .patch import (PadGeometry, PatchGeometry, SubstrateSpec, design_patch,
-                    f_res_metal, patch_for_target, patch_from_dimensions)
+from .patch import (PatchGeometry, SubstrateSpec, design_patch, f_res_metal,
+                    patch_for_target, patch_from_dimensions)
 from .spp import (ConfinementCell, DielectricHalfspaces, SppSolution,
                   confinement_sweep, spp_wavenumber_asymmetric,
                   spp_wavenumber_symmetric)
@@ -53,7 +53,6 @@ __all__ = [
     "InstabilityError",
     "NoBoundModeError",
     "NumericalError",
-    "PadGeometry",
     "PatchGeometry",
     "PhysicalConstants",
     "QFactors",

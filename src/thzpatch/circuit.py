@@ -33,7 +33,7 @@ from scipy.integrate import quad
 from scipy.special import j0
 
 from .constants import CODATA2018, PhysicalConstants
-from .errors import ValidationError
+from .errors import ValidationError, require_finite
 from .materials import GrapheneSheet, sheet_impedance
 from .patch import PatchGeometry, f_res_metal
 
@@ -47,9 +47,8 @@ S11_FLOOR_DB = -120.0
 class ConductorSpec:
     """The patch conductor: bulk metal or a graphene sheet.
 
-    Use the metal() / graphene() constructors. A graphene spec with
-    sheet=None is a sweep template (the sheet is filled in per grid cell)
-    and is rejected by every computation here.
+    Use the metal() / graphene() constructors. A metal spec carries its
+    bulk conductivity, a graphene spec its sheet, and nothing else.
     """
 
     kind: str
@@ -58,11 +57,14 @@ class ConductorSpec:
 
     def __post_init__(self) -> None:
         if self.kind == "metal":
-            if self.bulk_conductivity is None or self.bulk_conductivity <= 0:
-                raise ValidationError("metal conductor needs bulk_conductivity > 0")
+            if self.bulk_conductivity is None or self.sheet is not None:
+                raise ValidationError("metal conductor takes bulk_conductivity only")
+            require_finite(self, "bulk_conductivity")
+            if self.bulk_conductivity <= 0:
+                raise ValidationError("must be > 0", field="bulk_conductivity")
         elif self.kind == "graphene":
-            if self.bulk_conductivity is not None:
-                raise ValidationError("graphene conductor takes no bulk conductivity")
+            if self.sheet is None or self.bulk_conductivity is not None:
+                raise ValidationError("graphene conductor takes a sheet only")
         else:
             raise ValidationError(f"unknown conductor kind {self.kind!r}")
 
@@ -71,13 +73,8 @@ class ConductorSpec:
         return cls(kind="metal", bulk_conductivity=bulk_conductivity)
 
     @classmethod
-    def graphene(cls, sheet: GrapheneSheet | None) -> "ConductorSpec":
+    def graphene(cls, sheet: GrapheneSheet) -> "ConductorSpec":
         return cls(kind="graphene", sheet=sheet)
-
-    def require_sheet(self) -> GrapheneSheet:
-        if self.sheet is None:
-            raise ValidationError("graphene conductor template has no sheet")
-        return self.sheet
 
 
 @dataclass(frozen=True)
@@ -122,8 +119,7 @@ def graphene_resonance(geometry: PatchGeometry, conductor: ConductorSpec,
     f_metal = f_res_metal(geometry, constants)
     if conductor.kind == "metal":
         return f_metal
-    sheet = conductor.require_sheet()
-    l_k = sheet_impedance(sheet, constants).kinetic_inductance
+    l_k = sheet_impedance(conductor.sheet, constants).kinetic_inductance
     l_m = constants.vacuum_permeability * geometry.substrate.thickness
     return f_metal / math.sqrt(1 + l_k / l_m)
 
@@ -176,7 +172,7 @@ def q_factors(geometry: PatchGeometry, conductor: ConductorSpec,
                            / (2 * conductor.bulk_conductivity))
         q_cond = w * constants.vacuum_permeability * h / r_skin
     else:
-        z = sheet_impedance(conductor.require_sheet(), constants)
+        z = sheet_impedance(conductor.sheet, constants)
         l_total = constants.vacuum_permeability * h + z.kinetic_inductance
         q_cond = w * l_total / z.sheet_resistance
 

@@ -25,28 +25,18 @@ import sys
 from .circuit import ConductorSpec, gain_report
 from .config import parse_config, parse_quantity, parse_quantity_list
 from .errors import NumericalError, ValidationError
-from .fdtd import Grid1D, compare_fdtd_analytic, run_sheet_scattering
+from .fdtd import Grid1D, max_abs_error, run_sheet_scattering
 from .materials import GrapheneSheet, kubo_sigma
 from .patch import SubstrateSpec, design_patch, f_res_metal, patch_for_target
 from .spp import (DielectricHalfspaces, spp_wavenumber_asymmetric,
                   spp_wavenumber_symmetric)
-from .sweep import emit, run_sweep
+from .sweep import emit, fmt9, round9, run_sweep
 
 FDTD_ERROR_THRESHOLD = 0.01
 
 RESIZE_NOTE = ("published reference design reports a 220 um resized length; "
                "this model family cannot reproduce that from a 6 % resonance "
                "shift and reports its own inverse-design value instead")
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.9g}"
-
-
-def _round9(value):
-    if isinstance(value, float):
-        return float(_fmt(value))
-    return value
 
 
 def _write_output(text: str, out_path: str | None) -> None:
@@ -62,16 +52,16 @@ def _write_output(text: str, out_path: str | None) -> None:
 def _emit_record(record: dict, fmt: str | None, out_path: str | None) -> None:
     """One flat record as key = value text, a CSV pair, or JSON."""
     if fmt == "json":
-        body = json.dumps({k: _round9(v) for k, v in record.items()},
+        body = json.dumps({k: round9(v) for k, v in record.items()},
                           indent=2) + "\n"
     elif fmt == "csv":
         keys = ",".join(record)
-        vals = ",".join(_fmt(v) if isinstance(v, float) else str(v)
+        vals = ",".join(fmt9(v) if isinstance(v, float) else str(v)
                         for v in record.values())
         body = f"{keys}\n{vals}\n"
     else:
         body = "".join(
-            f"{k} = {_fmt(v) if isinstance(v, float) else v}\n"
+            f"{k} = {fmt9(v) if isinstance(v, float) else v}\n"
             for k, v in record.items())
     _write_output(body, out_path)
 
@@ -79,11 +69,11 @@ def _emit_record(record: dict, fmt: str | None, out_path: str | None) -> None:
 def _emit_table(columns: list[str], rows: list[list], fmt: str | None,
                 out_path: str | None) -> None:
     if fmt == "json":
-        body = json.dumps([{k: _round9(v) for k, v in zip(columns, row)}
+        body = json.dumps([{k: round9(v) for k, v in zip(columns, row)}
                            for row in rows], indent=2) + "\n"
     else:
         def cell(v) -> str:
-            return _fmt(v) if isinstance(v, float) else str(v)
+            return fmt9(v) if isinstance(v, float) else str(v)
         lines = [",".join(columns)] if fmt == "csv" else ["\t".join(columns)]
         join = "," if fmt == "csv" else "\t"
         lines.extend(join.join(cell(v) for v in row) for row in rows)
@@ -193,9 +183,9 @@ def _cmd_fdtd_check(args: argparse.Namespace) -> int:
     grid = Grid1D.for_resolution(args.resolution)
     band = (parse_quantity(args.band_lo, "frequency", "--band-lo"),
             parse_quantity(args.band_hi, "frequency", "--band-hi"))
-    err = compare_fdtd_analytic(sheet, grid, band, args.points)
+    result = run_sheet_scattering(sheet, grid, band, args.points)
+    err = max_abs_error(sheet, result)
     if args.out is not None:
-        result = run_sheet_scattering(sheet, grid, band, args.points)
         columns = ["variant", "fermi_eV", "tau_ps", "freq_GHz", "r_real",
                    "r_imag", "t_real", "t_imag", "absorption"]
         rows = [["graphene", sheet.fermi_level, sheet.relaxation_time * 1e12,

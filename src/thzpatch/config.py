@@ -26,12 +26,11 @@ or range applies to every element before it.
     format = csv
     path = paper_out
 
-An optional [pads] section (signal_pad_width, ground_pad_width, gap,
-tsv_radius, all lengths) is carried through to serialization only.
-
 Every parse or validation problem is reported with the offending key and
-line number. Validation is fail-fast: nothing is computed from a config
-that has any invalid value.
+line number. Value bounds live in the domain types (SubstrateSpec,
+GrapheneSheet); their errors are re-raised here with the key and line.
+Validation is fail-fast: nothing is computed from a config that has any
+invalid value.
 """
 
 from __future__ import annotations
@@ -39,10 +38,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .circuit import ConductorSpec
-from .errors import ConfigError, UnitError
-from .materials import FERMI_LEVEL_RANGE_EV, RELAXATION_RANGE_S
-from .patch import FREQUENCY_RANGE_HZ, PadGeometry, SubstrateSpec
+from .errors import ConfigError, UnitError, ValidationError
+from .materials import GrapheneSheet
+from .patch import FREQUENCY_RANGE_HZ, SubstrateSpec
 
 _UNIT_TABLES: dict[str, dict[str, float]] = {
     # canonical units: length m, frequency Hz, energy eV, time ps, temperature K
@@ -61,15 +59,15 @@ class SweepGrid:
     """Parameter grid of one sweep.
 
     fermi_levels in eV, relaxation_times in ps, frequency_band in Hz.
-    conductor_variants lists the variants in input order; graphene entries
-    are templates whose sheet is filled per (fermi, tau) cell.
+    variants names the conductors ("metal", "graphene") in input order;
+    graphene is evaluated at every (fermi, tau) cell.
     """
 
     fermi_levels: list[float]
     relaxation_times: list[float]
     frequency_band: tuple[float, float]
     frequency_points: int
-    conductor_variants: list[ConductorSpec]
+    variants: list[str]
 
 
 @dataclass(frozen=True)
@@ -195,7 +193,16 @@ _KNOWN_KEYS = {
     "sweep": {"fermi_levels", "relaxation_times", "band", "points",
               "variants", "temperature"},
     "output": {"format", "path"},
-    "pads": {"signal_pad_width", "ground_pad_width", "gap", "tsv_radius"},
+}
+
+# Domain-type field -> the (section, key) that supplies it.
+_FIELD_KEYS = {
+    "rel_permittivity": ("substrate", "rel_permittivity"),
+    "loss_tangent": ("substrate", "loss_tangent"),
+    "thickness": ("substrate", "thickness"),
+    "fermi_level": ("sweep", "fermi_levels"),
+    "relaxation_time": ("sweep", "relaxation_times"),
+    "temperature": ("sweep", "temperature"),
 }
 
 
@@ -244,41 +251,21 @@ def parse_config(text: str) -> RunConfig:
     def get(section: str, key: str) -> tuple[str, int]:
         return pairs[(section, key)]
 
+    def in_context(exc: ValidationError) -> ConfigError:
+        section, key = _FIELD_KEYS[exc.field]
+        return ConfigError(f"{_ctx(key, get(section, key)[1])}: {exc.reason}")
+
     val, ln = get("substrate", "rel_permittivity")
     eps_r = _parse_number(val, "rel_permittivity", ln)
-    if eps_r <= 1:
-        raise ConfigError(f"line {ln}: key 'rel_permittivity': must be > 1")
-
     val, ln = get("substrate", "loss_tangent")
     tan_d = _parse_number(val, "loss_tangent", ln)
-    if not (0 <= tan_d < 0.1):
-        raise ConfigError(f"line {ln}: key 'loss_tangent': must be in [0, 0.1)")
-
     val, ln = get("substrate", "thickness")
     thickness = parse_quantity(val, "length", "thickness", ln)
-    if thickness <= 0:
-        raise ConfigError(f"line {ln}: key 'thickness': must be > 0")
-
-    pads = None
-    pad_keys = [(k, pairs.get(("pads", k)))
-                for k in ("signal_pad_width", "ground_pad_width", "gap",
-                          "tsv_radius")]
-    present = [k for k, v in pad_keys if v is not None]
-    if present and len(present) < len(pad_keys):
-        missing = next(k for k, v in pad_keys if v is None)
-        raise ConfigError(f"missing required key 'pads.{missing}' "
-                          f"([pads] is all-or-none)")
-    if present:
-        dims = {}
-        for k, entry in pad_keys:
-            val, ln = entry
-            dims[k] = parse_quantity(val, "length", k, ln)
-            if dims[k] <= 0:
-                raise ConfigError(f"line {ln}: key '{k}': must be > 0")
-        pads = PadGeometry(**dims)
-
-    substrate = SubstrateSpec(rel_permittivity=eps_r, loss_tangent=tan_d,
-                              thickness=thickness, pads=pads)
+    try:
+        substrate = SubstrateSpec(rel_permittivity=eps_r, loss_tangent=tan_d,
+                                  thickness=thickness)
+    except ValidationError as exc:
+        raise in_context(exc) from None
 
     val, ln = get("design", "frequency")
     f_design = parse_quantity(val, "frequency", "frequency", ln)
@@ -289,21 +276,18 @@ def parse_config(text: str) -> RunConfig:
 
     val, ln = get("sweep", "fermi_levels")
     fermi = parse_quantity_list(val, "energy", "fermi_levels", ln)
-    ef_lo, ef_hi = FERMI_LEVEL_RANGE_EV
-    for ef in fermi:
-        if not (ef_lo <= ef <= ef_hi):
-            raise ConfigError(
-                f"line {ln}: key 'fermi_levels': {ef:g} eV outside accepted "
-                f"range [{ef_lo}, {ef_hi}] eV")
-
     val, ln = get("sweep", "relaxation_times")
     taus = parse_quantity_list(val, "time", "relaxation_times", ln)
-    tau_lo, tau_hi = (t * 1e12 for t in RELAXATION_RANGE_S)
-    for tp in taus:
-        if not (tau_lo <= tp <= tau_hi):
-            raise ConfigError(
-                f"line {ln}: key 'relaxation_times': {tp:g} ps outside "
-                f"accepted range [{tau_lo:g}, {tau_hi:g}] ps")
+    temperature = 300.0
+    if ("sweep", "temperature") in pairs:
+        val, ln = get("sweep", "temperature")
+        temperature = parse_quantity(val, "temperature", "temperature", ln)
+    try:
+        for ef in fermi:
+            for tau_ps in taus:
+                GrapheneSheet(ef, tau_ps * 1e-12, temperature)
+    except ValidationError as exc:
+        raise in_context(exc) from None
 
     val, ln = get("sweep", "band")
     band_vals = parse_quantity_list(val, "frequency", "band", ln)
@@ -323,28 +307,14 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"line {ln}: key 'points': must be >= 2")
 
     val, ln = get("sweep", "variants")
-    names = [item.strip() for item in val.split(",")]
-    variants: list[ConductorSpec] = []
-    seen = set()
-    for name in names:
+    variants = [item.strip() for item in val.split(",")]
+    for i, name in enumerate(variants):
         if name not in ("metal", "graphene"):
             raise ConfigError(f"line {ln}: key 'variants': unknown variant "
                               f"{name!r} (metal or graphene)")
-        if name in seen:
+        if name in variants[:i]:
             raise ConfigError(f"line {ln}: key 'variants': duplicate "
                               f"{name!r}")
-        seen.add(name)
-        variants.append(ConductorSpec.metal() if name == "metal"
-                        else ConductorSpec.graphene(None))
-    if not variants:
-        raise ConfigError(f"line {ln}: key 'variants': must not be empty")
-
-    temperature = 300.0
-    if ("sweep", "temperature") in pairs:
-        val, ln = get("sweep", "temperature")
-        temperature = parse_quantity(val, "temperature", "temperature", ln)
-        if temperature <= 0:
-            raise ConfigError(f"line {ln}: key 'temperature': must be > 0 K")
 
     val, ln = get("output", "format")
     fmt = val.strip()
@@ -355,7 +325,7 @@ def parse_config(text: str) -> RunConfig:
 
     grid = SweepGrid(fermi_levels=fermi, relaxation_times=taus,
                      frequency_band=(band_vals[0], band_vals[1]),
-                     frequency_points=points, conductor_variants=variants)
+                     frequency_points=points, variants=variants)
     return RunConfig(substrate=substrate, design_frequency=f_design,
                      sweep=grid, output_format=fmt, output_path=path,
                      temperature=temperature)

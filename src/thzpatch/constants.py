@@ -36,12 +36,3 @@ class PhysicalConstants:
 
 
 CODATA2018 = PhysicalConstants()
-
-# Flat aliases for internal arithmetic.
-E_CHARGE = CODATA2018.electron_charge
-HBAR = CODATA2018.reduced_planck
-K_BOLTZMANN = CODATA2018.boltzmann
-EPS0 = CODATA2018.vacuum_permittivity
-MU0 = CODATA2018.vacuum_permeability
-C0 = CODATA2018.light_speed
-ETA0 = CODATA2018.free_space_impedance

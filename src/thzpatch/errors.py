@@ -8,13 +8,32 @@ ThzPatchError so library users can catch one base.
 
 from __future__ import annotations
 
+import math
+
 
 class ThzPatchError(Exception):
     """Base class for all toolkit errors."""
 
 
 class ValidationError(ThzPatchError):
-    """An input value is outside its accepted domain."""
+    """An input value is outside its accepted domain.
+
+    field names the input that failed, when there is one; the message then
+    reads "<field> <reason>", and reason alone lets a caller re-attach the
+    problem to wherever the value came from (a config key and its line).
+    """
+
+    def __init__(self, reason: str, field: str | None = None):
+        super().__init__(f"{field} {reason}" if field else reason)
+        self.reason = reason
+        self.field = field
+
+
+def require_finite(obj: object, *fields: str) -> None:
+    """Reject nan and +-inf in the named numeric fields of obj."""
+    for name in fields:
+        if not math.isfinite(getattr(obj, name)):
+            raise ValidationError("must be finite", field=name)
 
 
 class InfeasibleDesignError(ValidationError):

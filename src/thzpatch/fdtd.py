@@ -52,9 +52,9 @@ class Grid1D:
     """Uniform 1-D grid with the sheet at one interior node.
 
     Distances are laid out so the source, the reflection probe, the sheet,
-    and the transmission probe split the line into equal pads; refinement
-    keeps those physical distances fixed (pad cell counts scale with
-    resolution), so error measured on a refined grid is a pure
+    and the transmission probe split the line into equal segments;
+    refinement keeps those physical distances fixed (segment cell counts
+    scale with resolution), so error measured on a refined grid is a pure
     discretization effect.
     """
 
@@ -268,6 +268,12 @@ def compare_fdtd_analytic(sheet: GrapheneSheet, grid: Grid1D,
                           constants: PhysicalConstants = CODATA2018) -> float:
     """Largest |r_fdtd - r_analytic| or |t_fdtd - t_analytic| over the band."""
     fdtd = run_sheet_scattering(sheet, grid, band, points, constants)
+    return max_abs_error(sheet, fdtd, constants)
+
+
+def max_abs_error(sheet: GrapheneSheet, fdtd: SheetScatteringResult,
+                  constants: PhysicalConstants = CODATA2018) -> float:
+    """compare_fdtd_analytic's error measure for an existing FDTD result."""
     exact = analytic_sheet_coefficients(sheet, fdtd.frequencies, constants)
     err_r = np.max(np.abs(fdtd.reflection - exact.reflection))
     err_t = np.max(np.abs(fdtd.transmission - exact.transmission))

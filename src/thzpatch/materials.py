@@ -21,12 +21,10 @@ import math
 from dataclasses import dataclass
 
 from .constants import CODATA2018, PhysicalConstants
-from .errors import ValidationError
+from .errors import ValidationError, require_finite
 
 FERMI_LEVEL_RANGE_EV = (0.05, 2.0)
 RELAXATION_RANGE_S = (0.05e-12, 5.0e-12)
-
-PHYSICS_CONVENTION = "physics_minus_iwt"
 
 
 @dataclass(frozen=True)
@@ -43,36 +41,27 @@ class GrapheneSheet:
     temperature: float = 300.0
 
     def __post_init__(self) -> None:
+        require_finite(self, "fermi_level", "relaxation_time", "temperature")
         lo, hi = FERMI_LEVEL_RANGE_EV
         if not (lo <= self.fermi_level <= hi):
             raise ValidationError(
-                f"fermi_level {self.fermi_level} eV outside accepted "
-                f"range [{lo}, {hi}] eV")
+                f"{self.fermi_level} eV outside accepted range "
+                f"[{lo}, {hi}] eV", field="fermi_level")
         lo, hi = RELAXATION_RANGE_S
         if not (lo <= self.relaxation_time <= hi):
             raise ValidationError(
-                f"relaxation_time {self.relaxation_time} s outside accepted "
-                f"range [{lo:.0e}, {hi:.0e}] s")
+                f"{self.relaxation_time} s outside accepted range "
+                f"[{lo:.0e}, {hi:.0e}] s", field="relaxation_time")
         if self.temperature <= 0:
-            raise ValidationError("temperature must be > 0 K")
+            raise ValidationError("must be > 0 K", field="temperature")
 
 
 @dataclass(frozen=True)
 class SheetConductivity:
-    """Complex surface conductivity in S per square.
-
-    convention records the time dependence the imaginary part refers to;
-    only exp(-i w t) is produced here (inductive response positive).
-    """
+    """Complex surface conductivity in S per square, for exp(-i w t)."""
 
     real_part: float
     imag_part: float
-    convention: str = PHYSICS_CONVENTION
-
-    def __post_init__(self) -> None:
-        if self.convention != PHYSICS_CONVENTION:
-            raise ValidationError(
-                f"unknown time convention {self.convention!r}")
 
     @property
     def value(self) -> complex:

@@ -12,9 +12,6 @@ length extension, and resonant length
 plus the inverse (resonant frequency of a given geometry) and an inverse
 design that shrinks the length so a graphene patch, whose kinetic
 inductance lowers the resonance, comes back up to a target frequency.
-
-Pad and via dimensions ride along as data for serialization; no field
-computation in this package uses them.
 """
 
 from __future__ import annotations
@@ -23,7 +20,8 @@ import math
 from dataclasses import dataclass
 
 from .constants import CODATA2018, PhysicalConstants
-from .errors import BracketError, ConvergenceError, InfeasibleDesignError, ValidationError
+from .errors import (BracketError, ConvergenceError, InfeasibleDesignError,
+                     ValidationError, require_finite)
 from .materials import GrapheneSheet
 
 FREQUENCY_RANGE_HZ = (1e9, 10e12)
@@ -33,50 +31,30 @@ BISECTION_TOL_HZ = 1e3
 
 
 @dataclass(frozen=True)
-class PadGeometry:
-    """CPW feed pad and through-substrate-via dimensions, in meters.
-
-    Carried as data only: validated, serialized, and never used in any
-    electromagnetic computation here.
-    """
-
-    signal_pad_width: float
-    ground_pad_width: float
-    gap: float
-    tsv_radius: float
-
-    def __post_init__(self) -> None:
-        for name in ("signal_pad_width", "ground_pad_width", "gap", "tsv_radius"):
-            if getattr(self, name) <= 0:
-                raise ValidationError(f"{name} must be > 0")
-
-
-@dataclass(frozen=True)
 class SubstrateSpec:
     """Dielectric substrate: relative permittivity, loss tangent, thickness."""
 
     rel_permittivity: float
     loss_tangent: float
     thickness: float
-    pads: PadGeometry | None = None
 
     def __post_init__(self) -> None:
+        require_finite(self, "rel_permittivity", "loss_tangent", "thickness")
         if self.rel_permittivity <= 1:
-            raise ValidationError("rel_permittivity must be > 1")
+            raise ValidationError("must be > 1", field="rel_permittivity")
         if not (0 <= self.loss_tangent < 0.1):
-            raise ValidationError("loss_tangent must be in [0, 0.1)")
+            raise ValidationError("must be in [0, 0.1)", field="loss_tangent")
         if self.thickness <= 0:
-            raise ValidationError("thickness must be > 0")
+            raise ValidationError("must be > 0", field="thickness")
 
 
 @dataclass(frozen=True)
 class PatchGeometry:
     """A designed patch with its derived electrical quantities.
 
-    substrate_width/substrate_length are fixed at twice the patch
-    dimensions. eps_eff and fringing_extension are consistent with
-    width and the substrate; use patch_from_dimensions() rather than
-    filling them by hand.
+    eps_eff and fringing_extension are consistent with width and the
+    substrate; use patch_from_dimensions() rather than filling them by hand.
+    The substrate outline is twice the patch size in each direction.
     """
 
     width: float
@@ -84,8 +62,6 @@ class PatchGeometry:
     substrate: SubstrateSpec
     eps_eff: float
     fringing_extension: float
-    substrate_width: float
-    substrate_length: float
 
     def __post_init__(self) -> None:
         if not (self.width > self.length > 0):
@@ -94,9 +70,14 @@ class PatchGeometry:
             raise ValidationError("eps_eff must lie between 1 and rel_permittivity")
         if self.fringing_extension <= 0:
             raise ValidationError("fringing_extension must be > 0")
-        if (self.substrate_width != 2 * self.width
-                or self.substrate_length != 2 * self.length):
-            raise ValidationError("substrate must be twice the patch size")
+
+    @property
+    def substrate_width(self) -> float:
+        return 2 * self.width
+
+    @property
+    def substrate_length(self) -> float:
+        return 2 * self.length
 
 
 def _eps_eff(eps_r: float, h: float, width: float) -> float:
@@ -113,22 +94,15 @@ def patch_from_dimensions(width: float, length: float,
                           substrate: SubstrateSpec) -> PatchGeometry:
     """Build a PatchGeometry from measured dimensions.
 
-    Derived quantities (effective permittivity, fringing extension,
-    substrate outline) are computed from width and the substrate.
+    Derived quantities (effective permittivity, fringing extension) are
+    computed from width and the substrate.
     """
     if width <= 0 or length <= 0:
         raise ValidationError("width and length must be > 0")
     eps_eff = _eps_eff(substrate.rel_permittivity, substrate.thickness, width)
     d_l = _fringing_extension(eps_eff, substrate.thickness, width)
-    return PatchGeometry(
-        width=width,
-        length=length,
-        substrate=substrate,
-        eps_eff=eps_eff,
-        fringing_extension=d_l,
-        substrate_width=2 * width,
-        substrate_length=2 * length,
-    )
+    return PatchGeometry(width=width, length=length, substrate=substrate,
+                         eps_eff=eps_eff, fringing_extension=d_l)
 
 
 def design_patch(target_frequency: float, substrate: SubstrateSpec,
@@ -153,30 +127,15 @@ def design_patch(target_frequency: float, substrate: SubstrateSpec,
         raise InfeasibleDesignError(
             f"fringing extension 2*{d_l:.4g} m exceeds the half wavelength; "
             "substrate is electrically too thick at this frequency")
-    return PatchGeometry(
-        width=width,
-        length=length,
-        substrate=substrate,
-        eps_eff=eps_eff,
-        fringing_extension=d_l,
-        substrate_width=2 * width,
-        substrate_length=2 * length,
-    )
+    return patch_from_dimensions(width, length, substrate)
 
 
 def f_res_metal(geometry: PatchGeometry,
                 constants: PhysicalConstants = CODATA2018) -> float:
-    """Fundamental resonance of a perfectly conducting patch, in Hz.
-
-    eps_eff and the fringing extension are recomputed from the stored
-    width and substrate, so hand-made geometries are treated consistently.
-    """
-    eps_eff = _eps_eff(geometry.substrate.rel_permittivity,
-                       geometry.substrate.thickness, geometry.width)
-    d_l = _fringing_extension(eps_eff, geometry.substrate.thickness,
-                              geometry.width)
+    """Fundamental resonance of a perfectly conducting patch, in Hz."""
     return constants.light_speed / (
-        2 * (geometry.length + 2 * d_l) * math.sqrt(eps_eff))
+        2 * (geometry.length + 2 * geometry.fringing_extension)
+        * math.sqrt(geometry.eps_eff))
 
 
 def patch_for_target(target_frequency: float, substrate: SubstrateSpec,

@@ -68,31 +68,30 @@ def run_sweep(config: RunConfig,
             return SweepCellResult(variant, fermi_ev, tau_ps, None, None,
                                    str(exc))
 
-    for template in config.sweep.conductor_variants:
-        if template.kind == "metal":
-            cells.append(evaluate("metal", None, None, template))
+    for variant in config.sweep.variants:
+        if variant == "metal":
+            cells.append(evaluate("metal", None, None, ConductorSpec.metal()))
             continue
         for ef in config.sweep.fermi_levels:
             for tau_ps in config.sweep.relaxation_times:
-                try:
-                    sheet = GrapheneSheet(fermi_level=ef,
-                                          relaxation_time=tau_ps * 1e-12,
-                                          temperature=config.temperature)
-                    conductor = ConductorSpec.graphene(sheet)
-                except ThzPatchError as exc:
-                    cells.append(SweepCellResult("graphene", ef, tau_ps,
-                                                 None, None, str(exc)))
-                    continue
-                cells.append(evaluate("graphene", ef, tau_ps, conductor))
+                sheet = GrapheneSheet(fermi_level=ef,
+                                      relaxation_time=tau_ps * 1e-12,
+                                      temperature=config.temperature)
+                cells.append(evaluate("graphene", ef, tau_ps,
+                                      ConductorSpec.graphene(sheet)))
     return cells
 
 
-def _fmt(x: float) -> str:
+def fmt9(x: float) -> str:
+    """A number as text with 9 significant digits."""
     return f"{x:.9g}"
 
 
-def _round9(x: float) -> float:
-    return float(f"{x:.9g}")
+def round9(value):
+    """Floats rounded to 9 significant digits; other values unchanged."""
+    if isinstance(value, float):
+        return float(fmt9(value))
+    return value
 
 
 def _summary_rows(results: list[SweepCellResult]) -> list[dict]:
@@ -138,7 +137,7 @@ def _csv_cell(value) -> str:
         return ""
     if isinstance(value, str):
         return value
-    return _fmt(value)
+    return fmt9(value)
 
 
 def _write_csv(path: str, header: str, rows: list[dict]) -> None:
@@ -172,8 +171,7 @@ def emit(results: list[SweepCellResult], output_format: str,
         return
 
     def rounded(rows: list[dict]) -> list[dict]:
-        return [{k: (_round9(v) if isinstance(v, float) else v)
-                 for k, v in row.items()} for row in rows]
+        return [{k: round9(v) for k, v in row.items()} for row in rows]
 
     doc = {"spectra": rounded(spectra), "summary": rounded(summary)}
     with open(f"{path}.json", "w", newline="\n") as fh:

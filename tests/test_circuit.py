@@ -281,6 +281,5 @@ def test_conductor_spec_validation():
         ConductorSpec(kind="graphene", bulk_conductivity=1e7)
     with pytest.raises(ValidationError):
         ConductorSpec(kind="wood")
-    template = ConductorSpec.graphene(None)
     with pytest.raises(ValidationError):
-        graphene_resonance(design_patch(280e9, SUBSTRATE), template)
+        ConductorSpec.graphene(None)

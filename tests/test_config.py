@@ -132,15 +132,12 @@ def test_good_config_parses():
     assert cfg.substrate.rel_permittivity == 3.5
     assert cfg.substrate.loss_tangent == 0.0027
     assert cfg.substrate.thickness == pytest.approx(50e-6, rel=1e-15)
-    assert cfg.substrate.pads is None
     assert cfg.design_frequency == 280e9
     assert cfg.sweep.fermi_levels == pytest.approx([0.3, 0.6, 0.9, 1.2])
     assert cfg.sweep.relaxation_times == pytest.approx([0.3, 0.6, 0.9, 1.2])
     assert cfg.sweep.frequency_band == (220e9, 325e9)
     assert cfg.sweep.frequency_points == 211
-    assert [v.kind for v in cfg.sweep.conductor_variants] \
-        == ["metal", "graphene"]
-    assert cfg.sweep.conductor_variants[1].sheet is None
+    assert cfg.sweep.variants == ["metal", "graphene"]
     assert cfg.output_format == "csv"
     assert cfg.output_path == "out"
     assert cfg.temperature == 300.0
@@ -151,12 +148,6 @@ def test_bundled_reference_config_parses():
     cfg = parse_config(text)
     assert cfg.design_frequency == 280e9
     assert cfg.output_path == "paper_out"
-    pads = cfg.substrate.pads
-    assert pads is not None
-    assert pads.signal_pad_width == pytest.approx(40e-6, rel=1e-15)
-    assert pads.ground_pad_width == pytest.approx(50e-6, rel=1e-15)
-    assert pads.gap == pytest.approx(5e-6, rel=1e-15)
-    assert pads.tsv_radius == pytest.approx(5e-6, rel=1e-15)
 
 
 def test_temperature_is_optional():
@@ -223,17 +214,28 @@ def test_value_range_checks():
         parse_config(_with({"frequency": "50 THz"}))
 
 
-def test_pads_are_all_or_none():
-    text = GOOD + "\n[pads]\nsignal_pad_width = 40 um\n"
+def test_non_finite_values_name_key_and_line():
     with pytest.raises(ConfigError,
-                       match=r"missing required key 'pads.ground_pad_width' "
-                             r"\(\[pads\] is all-or-none\)"):
-        parse_config(text)
-    full = (GOOD + "\n[pads]\nsignal_pad_width = 40 um\n"
-            "ground_pad_width = 50 um\ngap = 5 um\ntsv_radius = 5 um\n")
-    pads = parse_config(full).substrate.pads
-    assert pads is not None
-    assert pads.gap == pytest.approx(5e-6, rel=1e-15)
+                       match=r"^line 3: key 'rel_permittivity': "
+                             r"must be finite$"):
+        parse_config(_with({"rel_permittivity": "inf"}))
+    with pytest.raises(ConfigError,
+                       match=r"^line 4: key 'loss_tangent': must be finite$"):
+        parse_config(_with({"loss_tangent": "nan"}))
+
+
+def test_domain_bounds_carry_key_and_line():
+    # the bounds live in SubstrateSpec/GrapheneSheet; the config adds context
+    with pytest.raises(ConfigError, match=r"^line 12: key 'relaxation_times': "):
+        parse_config(_with({"relaxation_times": "0.3, 9 ps"}))
+    with pytest.raises(ConfigError,
+                       match=r"^line 16: key 'temperature': must be > 0 K$"):
+        parse_config(_with({"temperature": "0 K"}))
+
+
+def test_pads_section_is_unknown():
+    with pytest.raises(ConfigError, match=r"unknown section \[pads\]"):
+        parse_config(GOOD + "\n[pads]\ngap = 5 um\n")
 
 
 def test_config_errors_are_validation_errors():

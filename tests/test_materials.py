@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thzpatch import (CODATA2018, FERMI_LEVEL_RANGE_EV, RELAXATION_RANGE_S,
-                      GrapheneSheet, SheetConductivity, SheetImpedance,
-                      ValidationError, drude_weight, kubo_sigma, mobility,
+                      GrapheneSheet, SheetImpedance, ValidationError,
+                      drude_weight, kubo_sigma, mobility,
                       relaxation_from_mobility, sheet_impedance)
 
 W_280 = 2 * math.pi * 280e9
@@ -97,7 +97,6 @@ def test_kubo_sigma_is_inductive():
     sigma = kubo_sigma(GrapheneSheet(0.6, 0.6e-12), W_280)
     assert sigma.real_part > 0
     assert sigma.imag_part > 0
-    assert sigma.convention == "physics_minus_iwt"
 
 
 @given(sheet=sheets, freq=st.floats(1e9, 10e12))
@@ -187,11 +186,6 @@ def test_sheet_parameter_ranges(ef, tau):
 def test_sheet_rejects_nonpositive_temperature():
     with pytest.raises(ValidationError):
         GrapheneSheet(0.6, 0.6e-12, temperature=0.0)
-
-
-def test_conductivity_rejects_unknown_convention():
-    with pytest.raises(ValidationError):
-        SheetConductivity(1e-3, 1e-3, convention="engineering_plus_jwt")
 
 
 def test_impedance_rejects_nonpositive_members():

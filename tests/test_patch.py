@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thzpatch import (BracketError, GrapheneSheet, InfeasibleDesignError,
-                      PadGeometry, SubstrateSpec, ValidationError,
-                      design_patch, f_res_metal, graphene_resonance,
-                      patch_for_target, patch_from_dimensions)
+                      SubstrateSpec, ValidationError, design_patch,
+                      f_res_metal, graphene_resonance, patch_for_target,
+                      patch_from_dimensions)
 from thzpatch.circuit import ConductorSpec
 
 C0 = 299792458.0
@@ -151,22 +151,27 @@ def test_substrate_validation():
         SubstrateSpec(3.5, 0.0027, 0.0)
 
 
-def test_pads_ride_along_as_data():
-    pads = PadGeometry(signal_pad_width=40e-6, ground_pad_width=50e-6,
-                       gap=5e-6, tsv_radius=5e-6)
-    sub = SubstrateSpec(3.5, 0.0027, 50e-6, pads=pads)
-    bare = design_patch(280e9, REFERENCE_SUBSTRATE)
-    padded = design_patch(280e9, sub)
-    assert padded.substrate.pads == pads
-    assert padded.width == bare.width
-    assert padded.length == bare.length
+# Every numeric input of the domain types, with a valid value for the rest.
+FINITE_INPUTS = [
+    (SubstrateSpec, {"rel_permittivity": 3.5, "loss_tangent": 0.0027,
+                     "thickness": 50e-6}),
+    (GrapheneSheet, {"fermi_level": 0.6, "relaxation_time": 0.6e-12,
+                     "temperature": 300.0}),
+    (ConductorSpec.metal, {"bulk_conductivity": 3.56e7}),
+]
 
 
-def test_pad_geometry_validation():
-    with pytest.raises(ValidationError):
-        PadGeometry(0.0, 50e-6, 5e-6, 5e-6)
-    with pytest.raises(ValidationError):
-        PadGeometry(40e-6, 50e-6, -5e-6, 5e-6)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("build, valid, field",
+                         [(b, v, f) for b, v in FINITE_INPUTS for f in v],
+                         ids=[f for _, v in FINITE_INPUTS for f in v])
+def test_non_finite_inputs_are_rejected(build, valid, field, bad):
+    build(**valid)
+    with pytest.raises(ValidationError, match=rf"^{field} must be finite$") \
+            as info:
+        build(**{**valid, field: bad})
+    assert info.value.field == field
 
 
 def test_patch_from_dimensions_validation():

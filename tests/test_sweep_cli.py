@@ -146,6 +146,25 @@ def test_cli_design_json(capsys):
     assert doc["substrate_W_um"] == pytest.approx(2 * doc["W_um"], rel=1e-8)
 
 
+@pytest.mark.parametrize("flag, value", [("--er", "inf"), ("--er", "nan"),
+                                         ("--tand", "nan")])
+def test_cli_non_finite_substrate_is_a_usage_error(capsys, flag, value):
+    assert cli_main(["design", "--f0", "280GHz", flag, value]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "must be finite" in err
+
+
+def test_cli_sweep_non_finite_config_is_a_usage_error(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(SMALL_CONFIG.replace("rel_permittivity = 3.5",
+                                        "rel_permittivity = inf"))
+    assert cli_main(["sweep", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert "line 2: key 'rel_permittivity': must be finite" in err
+    assert "Traceback" not in err
+
+
 def test_cli_missing_unit_is_a_usage_error(capsys):
     assert cli_main(["design", "--f0", "280"]) == 1
     assert "missing unit suffix" in capsys.readouterr().err
