@@ -15,7 +15,7 @@ from .circuit import (ALUMINUM_CONDUCTIVITY, REFERENCE_IMPEDANCE,
 from .cli import cli_main
 from .config import (RunConfig, SweepGrid, parse_config, parse_quantity,
                      parse_quantity_list)
-from .constants import CODATA2018, PhysicalConstants
+from .constants import CODATA2018
 from .errors import (BracketError, ConfigError, ConvergenceError,
                      InfeasibleDesignError, InstabilityError, NoBoundModeError,
                      NumericalError, ThzPatchError, UnitError, ValidationError)
@@ -54,7 +54,6 @@ __all__ = [
     "NoBoundModeError",
     "NumericalError",
     "PatchGeometry",
-    "PhysicalConstants",
     "QFactors",
     "REFERENCE_IMPEDANCE",
     "RELAXATION_RANGE_S",

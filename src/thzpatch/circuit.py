@@ -32,7 +32,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import j0
 
-from .constants import CODATA2018, PhysicalConstants
+from .constants import CODATA2018
 from .errors import ValidationError, require_finite
 from .materials import GrapheneSheet, sheet_impedance
 from .patch import PatchGeometry, f_res_metal
@@ -109,24 +109,23 @@ class AntennaReport:
     gain_dbi: float
 
 
-def graphene_resonance(geometry: PatchGeometry, conductor: ConductorSpec,
-                       constants: PhysicalConstants = CODATA2018) -> float:
+def graphene_resonance(geometry: PatchGeometry,
+                       conductor: ConductorSpec) -> float:
     """Resonance of the patch with its conductor loading, in Hz.
 
     Metal returns the cavity resonance unchanged; graphene is pulled down
     by the kinetic-to-magnetic inductance ratio.
     """
-    f_metal = f_res_metal(geometry, constants)
+    f_metal = f_res_metal(geometry)
     if conductor.kind == "metal":
         return f_metal
-    l_k = sheet_impedance(conductor.sheet, constants).kinetic_inductance
-    l_m = constants.vacuum_permeability * geometry.substrate.thickness
+    l_k = sheet_impedance(conductor.sheet).kinetic_inductance
+    l_m = CODATA2018.vacuum_permeability * geometry.substrate.thickness
     return f_metal / math.sqrt(1 + l_k / l_m)
 
 
-def _cavity_capacitance(geometry: PatchGeometry,
-                        constants: PhysicalConstants) -> float:
-    return (constants.vacuum_permittivity * geometry.eps_eff
+def _cavity_capacitance(geometry: PatchGeometry) -> float:
+    return (CODATA2018.vacuum_permittivity * geometry.eps_eff
             * geometry.length * geometry.width
             / (2 * geometry.substrate.thickness))
 
@@ -140,13 +139,13 @@ def _slot_base(theta: float, k0w_half: float) -> float:
     return amp * amp * math.sin(theta) ** 3
 
 
-def mutual_conductance_ratio(geometry: PatchGeometry, frequency: float,
-                             constants: PhysicalConstants = CODATA2018) -> float:
+def mutual_conductance_ratio(geometry: PatchGeometry,
+                             frequency: float) -> float:
     """g12: mutual slot conductance relative to the self conductance.
 
     The slot pair sits at the effective resonant length L + 2 dL apart.
     """
-    k0 = 2 * math.pi * frequency / constants.light_speed
+    k0 = 2 * math.pi * frequency / CODATA2018.light_speed
     k0w_half = k0 * geometry.width / 2
     sep = geometry.length + 2 * geometry.fringing_extension
     num, _ = quad(lambda t: _slot_base(t, k0w_half) * j0(k0 * sep * math.sin(t)),
@@ -156,29 +155,28 @@ def mutual_conductance_ratio(geometry: PatchGeometry, frequency: float,
 
 
 def q_factors(geometry: PatchGeometry, conductor: ConductorSpec,
-              frequency: float,
-              constants: PhysicalConstants = CODATA2018) -> QFactors:
+              frequency: float) -> QFactors:
     """Radiation, conductor, and dielectric Q at the given frequency."""
     if frequency <= 0:
         raise ValidationError("frequency must be > 0")
     w = 2 * math.pi * frequency
     h = geometry.substrate.thickness
-    lam0 = constants.light_speed / frequency
+    lam0 = CODATA2018.light_speed / frequency
 
     q_diel = 1.0 / geometry.substrate.loss_tangent
 
     if conductor.kind == "metal":
-        r_skin = math.sqrt(w * constants.vacuum_permeability
+        r_skin = math.sqrt(w * CODATA2018.vacuum_permeability
                            / (2 * conductor.bulk_conductivity))
-        q_cond = w * constants.vacuum_permeability * h / r_skin
+        q_cond = w * CODATA2018.vacuum_permeability * h / r_skin
     else:
-        z = sheet_impedance(conductor.sheet, constants)
-        l_total = constants.vacuum_permeability * h + z.kinetic_inductance
+        z = sheet_impedance(conductor.sheet)
+        l_total = CODATA2018.vacuum_permeability * h + z.kinetic_inductance
         q_cond = w * l_total / z.sheet_resistance
 
     g1 = (1.0 / 90.0) * (geometry.width / lam0) ** 2
-    g12 = mutual_conductance_ratio(geometry, frequency, constants)
-    c = _cavity_capacitance(geometry, constants)
+    g12 = mutual_conductance_ratio(geometry, frequency)
+    c = _cavity_capacitance(geometry)
     q_rad = w * c / (2 * g1 * (1 + g12))
 
     q_total = 1.0 / (1.0 / q_rad + 1.0 / q_cond + 1.0 / q_diel)
@@ -186,28 +184,24 @@ def q_factors(geometry: PatchGeometry, conductor: ConductorSpec,
                     q_dielectric=q_diel, q_total=q_total)
 
 
-def _resonator_parameters(geometry: PatchGeometry, conductor: ConductorSpec,
-                          constants: PhysicalConstants,
+def _resonator_parameters(geometry: PatchGeometry, conductor: ConductorSpec
                           ) -> tuple[float, float, float]:
     """(f_res, Q, R_peak) of the variant's parallel RLC equivalent."""
-    f_res = graphene_resonance(geometry, conductor, constants)
-    q = q_factors(geometry, conductor, f_res, constants).q_total
-    c = _cavity_capacitance(geometry, constants)
+    f_res = graphene_resonance(geometry, conductor)
+    q = q_factors(geometry, conductor, f_res).q_total
+    c = _cavity_capacitance(geometry)
     r_peak = q / (2 * math.pi * f_res * c)
     return f_res, q, r_peak
 
 
-def _transformer_ratio(geometry: PatchGeometry,
-                       constants: PhysicalConstants) -> float:
+def _transformer_ratio(geometry: PatchGeometry) -> float:
     """n^2 of the feed transformer that matches the metal variant to 50 ohm."""
-    _, _, r_peak_metal = _resonator_parameters(
-        geometry, ConductorSpec.metal(), constants)
+    _, _, r_peak_metal = _resonator_parameters(geometry, ConductorSpec.metal())
     return r_peak_metal / REFERENCE_IMPEDANCE
 
 
 def s11_spectrum(geometry: PatchGeometry, conductor: ConductorSpec,
-                 band: tuple[float, float], points: int,
-                 constants: PhysicalConstants = CODATA2018,
+                 band: tuple[float, float], points: int
                  ) -> list[SpectrumResult]:
     """Reflection response over the band against the 50 ohm reference."""
     f_lo, f_hi = band
@@ -215,8 +209,8 @@ def s11_spectrum(geometry: PatchGeometry, conductor: ConductorSpec,
         raise ValidationError("band must satisfy f_lo < f_hi")
     if points < 2:
         raise ValidationError("points must be >= 2")
-    f_res, q, r_peak = _resonator_parameters(geometry, conductor, constants)
-    n_sq = _transformer_ratio(geometry, constants)
+    f_res, q, r_peak = _resonator_parameters(geometry, conductor)
+    n_sq = _transformer_ratio(geometry)
 
     freqs = np.linspace(f_lo, f_hi, points)
     detune = freqs / f_res - f_res / freqs
@@ -270,8 +264,7 @@ def bandwidth_minus10db(spectrum: list[SpectrumResult]) -> float:
     return f_right - f_left
 
 
-def directivity_dbi(geometry: PatchGeometry, frequency: float,
-                    constants: PhysicalConstants = CODATA2018) -> float:
+def directivity_dbi(geometry: PatchGeometry, frequency: float) -> float:
     """Broadside directivity of the radiating aperture, in dBi.
 
     Frozen closed form 6.6 + 10 log10(3 W / lambda0): the slot directivity
@@ -279,25 +272,24 @@ def directivity_dbi(geometry: PatchGeometry, frequency: float,
     W ~ lambda0 regime of these designs; pattern details (lobe tilt,
     array factor of the slot pair) are out of scope.
     """
-    lam0 = constants.light_speed / frequency
+    lam0 = CODATA2018.light_speed / frequency
     return 6.6 + 10 * math.log10(3 * geometry.width / lam0)
 
 
 def gain_report(geometry: PatchGeometry, conductor: ConductorSpec,
                 band: tuple[float, float] = (220e9, 325e9),
-                points: int = 211,
-                constants: PhysicalConstants = CODATA2018) -> AntennaReport:
+                points: int = 211) -> AntennaReport:
     """Scalar antenna summary: resonance, dip, bandwidth, efficiency, gain.
 
     Efficiency is q_total/q_radiation at the variant's own resonance;
     directivity is evaluated there too. The dip depth and bandwidth come
     from the sampled spectrum over the band.
     """
-    f_res = graphene_resonance(geometry, conductor, constants)
-    qf = q_factors(geometry, conductor, f_res, constants)
+    f_res = graphene_resonance(geometry, conductor)
+    qf = q_factors(geometry, conductor, f_res)
     efficiency = qf.q_total / qf.q_radiation
-    spectrum = s11_spectrum(geometry, conductor, band, points, constants)
-    d_dbi = directivity_dbi(geometry, f_res, constants)
+    spectrum = s11_spectrum(geometry, conductor, band, points)
+    d_dbi = directivity_dbi(geometry, f_res)
     return AntennaReport(
         resonant_frequency=f_res,
         min_s11_db=min(p.s11_db for p in spectrum),

@@ -21,6 +21,7 @@ import argparse
 import json
 import math
 import sys
+from typing import Sequence
 
 from .circuit import ConductorSpec, gain_report
 from .config import parse_config, parse_quantity, parse_quantity_list
@@ -30,7 +31,8 @@ from .materials import GrapheneSheet, kubo_sigma
 from .patch import SubstrateSpec, design_patch, f_res_metal, patch_for_target
 from .spp import (DielectricHalfspaces, spp_wavenumber_asymmetric,
                   spp_wavenumber_symmetric)
-from .sweep import emit, fmt9, round9, run_sweep
+from .sweep import (SUMMARY_HEADER, emit, fmt9, format_table, json_records,
+                    run_sweep, summary_row)
 
 FDTD_ERROR_THRESHOLD = 0.01
 
@@ -39,46 +41,25 @@ RESIZE_NOTE = ("published reference design reports a 220 um resized length; "
                "shift and reports its own inverse-design value instead")
 
 
-def _write_output(text: str, out_path: str | None) -> None:
+def _emit(columns: Sequence[str], rows: list[Sequence], fmt: str | None,
+          out_path: str | None, record: bool = False) -> None:
+    """Rows as a tab-separated table, CSV or JSON, to out_path or stdout.
+
+    A record is a single row; as plain text it reads `key = value` per
+    line, and as JSON it is one object rather than a list.
+    """
+    if fmt == "json":
+        doc = json_records(columns, rows)
+        body = json.dumps(doc[0] if record else doc, indent=2) + "\n"
+    elif fmt is None and record:
+        body = "".join(f"{k} = {fmt9(v)}\n" for k, v in zip(columns, rows[0]))
+    else:
+        body = format_table(columns, rows, "," if fmt == "csv" else "\t")
     if out_path is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        sys.stdout.write(body)
     else:
         with open(out_path, "w", newline="\n") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-
-
-def _emit_record(record: dict, fmt: str | None, out_path: str | None) -> None:
-    """One flat record as key = value text, a CSV pair, or JSON."""
-    if fmt == "json":
-        body = json.dumps({k: round9(v) for k, v in record.items()},
-                          indent=2) + "\n"
-    elif fmt == "csv":
-        keys = ",".join(record)
-        vals = ",".join(fmt9(v) if isinstance(v, float) else str(v)
-                        for v in record.values())
-        body = f"{keys}\n{vals}\n"
-    else:
-        body = "".join(
-            f"{k} = {fmt9(v) if isinstance(v, float) else v}\n"
-            for k, v in record.items())
-    _write_output(body, out_path)
-
-
-def _emit_table(columns: list[str], rows: list[list], fmt: str | None,
-                out_path: str | None) -> None:
-    if fmt == "json":
-        body = json.dumps([{k: round9(v) for k, v in zip(columns, row)}
-                           for row in rows], indent=2) + "\n"
-    else:
-        def cell(v) -> str:
-            return fmt9(v) if isinstance(v, float) else str(v)
-        lines = [",".join(columns)] if fmt == "csv" else ["\t".join(columns)]
-        join = "," if fmt == "csv" else "\t"
-        lines.extend(join.join(cell(v) for v in row) for row in rows)
-        body = "\n".join(lines) + "\n"
-    _write_output(body, out_path)
+            fh.write(body)
 
 
 def _substrate_from_args(args: argparse.Namespace) -> SubstrateSpec:
@@ -101,15 +82,12 @@ def _cmd_design(args: argparse.Namespace) -> int:
     substrate = _substrate_from_args(args)
     f0 = parse_quantity(args.f0, "frequency", "--f0")
     geom = design_patch(f0, substrate)
-    _emit_record({
-        "W_um": geom.width * 1e6,
-        "L_um": geom.length * 1e6,
-        "eps_eff": geom.eps_eff,
-        "dL_um": geom.fringing_extension * 1e6,
-        "substrate_W_um": geom.substrate_width * 1e6,
-        "substrate_L_um": geom.substrate_length * 1e6,
-        "f_res_GHz": f_res_metal(geom) / 1e9,
-    }, args.format, args.out)
+    _emit(("W_um", "L_um", "eps_eff", "dL_um", "substrate_W_um",
+           "substrate_L_um", "f_res_GHz"),
+          [(geom.width * 1e6, geom.length * 1e6, geom.eps_eff,
+            geom.fringing_extension * 1e6, geom.substrate_width * 1e6,
+            geom.substrate_length * 1e6, f_res_metal(geom) / 1e9)],
+          args.format, args.out, record=True)
     return 0
 
 
@@ -122,17 +100,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     geom = design_patch(f0, substrate)
     report = gain_report(geom, ConductorSpec.graphene(sheet), band,
                          args.points)
-    _emit_record({
-        "variant": "graphene",
-        "fermi_eV": sheet.fermi_level,
-        "tau_ps": sheet.relaxation_time * 1e12,
-        "f_res_GHz": report.resonant_frequency / 1e9,
-        "min_s11_dB": report.min_s11_db,
-        "bw_GHz": report.bandwidth_minus10db / 1e9,
-        "eff": report.efficiency,
-        "D_dBi": report.directivity_dbi,
-        "G_dBi": report.gain_dbi,
-    }, args.format, args.out)
+    row = summary_row("graphene", sheet.fermi_level,
+                      sheet.relaxation_time * 1e12, report)
+    _emit(SUMMARY_HEADER.split(","), [row], args.format, args.out,
+          record=True)
     return 0
 
 
@@ -162,7 +133,7 @@ def _cmd_spp(args: argparse.Namespace) -> int:
 
     columns = ["freq_GHz", "q_re_rad_per_m", "q_im_rad_per_m", "confinement",
                "lambda_spp_um", "L_prop_um"]
-    rows: list[list] = []
+    rows = []
     for f in freqs:
         w = 2 * math.pi * f
         sigma = kubo_sigma(sheet, w)
@@ -171,10 +142,10 @@ def _cmd_spp(args: argparse.Namespace) -> int:
                 sigma, DielectricHalfspaces(args.eps_above, args.eps_below), w)
         else:
             sol = spp_wavenumber_symmetric(sigma, args.eps, w)
-        rows.append([f / 1e9, sol.wavenumber.real, sol.wavenumber.imag,
+        rows.append((f / 1e9, sol.wavenumber.real, sol.wavenumber.imag,
                      sol.confinement_ratio, sol.spp_wavelength * 1e6,
-                     sol.propagation_length * 1e6])
-    _emit_table(columns, rows, args.format, args.out)
+                     sol.propagation_length * 1e6))
+    _emit(columns, rows, args.format, args.out)
     return 0
 
 
@@ -188,11 +159,11 @@ def _cmd_fdtd_check(args: argparse.Namespace) -> int:
     if args.out is not None:
         columns = ["variant", "fermi_eV", "tau_ps", "freq_GHz", "r_real",
                    "r_imag", "t_real", "t_imag", "absorption"]
-        rows = [["graphene", sheet.fermi_level, sheet.relaxation_time * 1e12,
-                 float(f) / 1e9, r.real, r.imag, t.real, t.imag, float(a)]
+        rows = [("graphene", sheet.fermi_level, sheet.relaxation_time * 1e12,
+                 float(f) / 1e9, r.real, r.imag, t.real, t.imag, float(a))
                 for f, r, t, a in zip(result.frequencies, result.reflection,
                                       result.transmission, result.absorption)]
-        _emit_table(columns, rows, "csv", args.out)
+        _emit(columns, rows, "csv", args.out)
     print(f"max_abs_error = {err:.9g}")
     if err >= FDTD_ERROR_THRESHOLD:
         print(f"error exceeds the {FDTD_ERROR_THRESHOLD} accuracy threshold",
@@ -212,14 +183,12 @@ def _cmd_resize(args: argparse.Namespace) -> int:
     resized = patch_for_target(f0, substrate, sheet)
     from .circuit import graphene_resonance
     f_check = graphene_resonance(resized, ConductorSpec.graphene(sheet))
-    _emit_record({
-        "W_um": resized.width * 1e6,
-        "L_metal_um": metal.length * 1e6,
-        "L_resized_um": resized.length * 1e6,
-        "area_reduction_pct": 100 * (1 - resized.length / metal.length),
-        "f_res_GHz": f_check / 1e9,
-        "note": RESIZE_NOTE,
-    }, args.format, args.out)
+    _emit(("W_um", "L_metal_um", "L_resized_um", "area_reduction_pct",
+           "f_res_GHz", "note"),
+          [(resized.width * 1e6, metal.length * 1e6, resized.length * 1e6,
+            100 * (1 - resized.length / metal.length), f_check / 1e9,
+            RESIZE_NOTE)],
+          args.format, args.out, record=True)
     return 0
 
 

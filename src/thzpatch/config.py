@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from decimal import Decimal, InvalidOperation
 
 from .errors import ConfigError, UnitError, ValidationError
 from .materials import GrapheneSheet
@@ -89,10 +90,10 @@ def _ctx(key: str, line: int) -> str:
     return f"'{key}'"
 
 
-def _parse_number(text: str, key: str, line: int) -> float:
+def _parse_number(text: str, key: str, line: int, kind=float):
     try:
-        return float(text)
-    except ValueError:
+        return kind(text)
+    except (ValueError, InvalidOperation):
         raise ConfigError(f"{_ctx(key, line)}: not a number: {text!r}")
 
 
@@ -103,6 +104,13 @@ def parse_quantity(text: str, dimension: str, key: str, line: int = 0,
     `unit` supplies an inherited suffix for list elements written without
     their own. line = 0 marks a command-line flag rather than a file key.
     """
+    number, scale = _quantity(text, dimension, key, line, unit)
+    return float(number) * scale
+
+
+def _quantity(text: str, dimension: str, key: str, line: int,
+              unit: str | None) -> tuple[Decimal, float]:
+    """The literal number of a quantity and the scale of its unit."""
     table = _UNIT_TABLES[dimension]
     m = _QUANTITY_RE.match(text.strip())
     if not m:
@@ -118,7 +126,7 @@ def parse_quantity(text: str, dimension: str, key: str, line: int = 0,
         raise UnitError(
             f"{_ctx(key, line)}: unknown unit {suffix!r} "
             f"(expected one of {', '.join(sorted(table))})")
-    return _parse_number(number, key, line) * table[suffix]
+    return _parse_number(number, key, line, Decimal), table[suffix]
 
 
 def _trailing_unit(text: str) -> tuple[str, str | None]:
@@ -142,21 +150,17 @@ def parse_quantity_list(text: str, dimension: str, key: str,
         if unit is None:
             raise UnitError(f"{_ctx(key, line)}: range needs a unit "
                             f"suffix (one of {', '.join(sorted(table))})")
-        start = parse_quantity(parts[0], dimension, key, line, unit)
-        stop = parse_quantity(parts[1], dimension, key, line, unit)
-        step = parse_quantity(parts[2], dimension, key, line, unit)
+        quantities = [_quantity(p, dimension, key, line, unit) for p in parts]
+        scale = quantities[2][1]
+        # Step the literals exactly, in the step's unit, from an integer
+        # count: a range yields the floats of the comma list it abbreviates.
+        start, stop, step = (n * Decimal(str(s)) / Decimal(str(scale))
+                             for n, s in quantities)
         if step <= 0 or stop < start:
             raise ConfigError(f"{_ctx(key, line)}: need step > 0 and "
                               f"stop >= start")
-        values = []
-        k = 0
-        while True:
-            v = start + k * step
-            if v > stop * (1 + 1e-9):
-                break
-            values.append(v)
-            k += 1
-        return values
+        count = int((stop - start) / step)
+        return [float(start + k * step) * scale for k in range(count + 1)]
 
     items = [item.strip() for item in text.split(",")]
     if any(not item for item in items):

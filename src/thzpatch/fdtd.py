@@ -33,8 +33,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .constants import CODATA2018, PhysicalConstants
-from .errors import InstabilityError, ValidationError
+from .constants import CODATA2018
+from .errors import InstabilityError, ValidationError, require_finite
 from .materials import GrapheneSheet, drude_weight, kubo_sigma
 
 DESIGN_F_MAX = 325e9            # the invariant cell_size <= lambda/100 uses this
@@ -65,6 +65,7 @@ class Grid1D:
     courant_number: float
 
     def __post_init__(self) -> None:
+        require_finite(self, "cell_size", "time_step", "courant_number")
         if self.cell_size <= 0 or self.cell_count < 8:
             raise ValidationError("grid must have positive cells, count >= 8")
         lam_min = CODATA2018.light_speed / DESIGN_F_MAX
@@ -134,12 +135,11 @@ def _validate_band(band: tuple[float, float]) -> None:
 
 
 def _march(grid: Grid1D, drude_a: float, tau: float, n_steps: int,
-           t_w: float, t0: float, with_sheet: bool,
-           constants: PhysicalConstants) -> np.ndarray:
+           t_w: float, t0: float, with_sheet: bool) -> np.ndarray:
     """Advance the grid; rows: E at probe_r, probe_t, sheet, and J."""
-    eps0 = constants.vacuum_permittivity
-    mu0 = constants.vacuum_permeability
-    c = constants.light_speed
+    eps0 = CODATA2018.vacuum_permittivity
+    mu0 = CODATA2018.vacuum_permeability
+    c = CODATA2018.light_speed
     dx, dt = grid.cell_size, grid.time_step
     n_sh = grid.sheet_index
     src, probe_r, probe_t = _layout(grid)
@@ -189,8 +189,7 @@ def _spectra(rec: np.ndarray, freqs: np.ndarray, dt: float) -> np.ndarray:
 
 
 def run_drude_scattering(drude_a: float, tau: float, grid: Grid1D,
-                         band: tuple[float, float], points: int = 106,
-                         constants: PhysicalConstants = CODATA2018,
+                         band: tuple[float, float], points: int = 106
                          ) -> SheetScatteringResult:
     """Scattering spectra of a Drude sheet with weight drude_a (S/s).
 
@@ -206,12 +205,12 @@ def run_drude_scattering(drude_a: float, tau: float, grid: Grid1D,
 
     t_w = 1.0 / (2 * math.pi * SOURCE_CENTER_HZ)
     t0 = 6 * t_w
-    transit = grid.cell_count * grid.cell_size / constants.light_speed
+    transit = grid.cell_count * grid.cell_size / CODATA2018.light_speed
     t_end = t0 + transit + RINGDOWN_TAUS * tau + RINGDOWN_WIDTHS * t_w
     n_steps = int(math.ceil(t_end / grid.time_step))
 
-    ref = _march(grid, drude_a, tau, n_steps, t_w, t0, False, constants)
-    shr = _march(grid, drude_a, tau, n_steps, t_w, t0, True, constants)
+    ref = _march(grid, drude_a, tau, n_steps, t_w, t0, False)
+    shr = _march(grid, drude_a, tau, n_steps, t_w, t0, True)
     ref_f = _spectra(ref, freqs, grid.time_step)
     shr_f = _spectra(shr, freqs, grid.time_step)
 
@@ -226,7 +225,7 @@ def run_drude_scattering(drude_a: float, tau: float, grid: Grid1D,
     d = (grid.sheet_index - probe_r) * grid.cell_size
     reflection = ((shr_f[:, 0] - ref_f[:, 0]) / ref_f[:, 0]
                   * np.exp(-2j * k_num * d))
-    eta0 = constants.free_space_impedance
+    eta0 = CODATA2018.free_space_impedance
     absorption = (eta0 * np.real(shr_f[:, 2] * np.conj(shr_f[:, 3]))
                   / np.abs(ref_f[:, 2]) ** 2)
     return SheetScatteringResult(frequencies=freqs, reflection=reflection,
@@ -235,26 +234,23 @@ def run_drude_scattering(drude_a: float, tau: float, grid: Grid1D,
 
 
 def run_sheet_scattering(sheet: GrapheneSheet, grid: Grid1D,
-                         band: tuple[float, float], points: int = 106,
-                         constants: PhysicalConstants = CODATA2018,
+                         band: tuple[float, float], points: int = 106
                          ) -> SheetScatteringResult:
     """FDTD scattering spectra of a graphene sheet over the band."""
-    return run_drude_scattering(drude_weight(sheet, constants),
-                                sheet.relaxation_time, grid, band, points,
-                                constants)
+    return run_drude_scattering(drude_weight(sheet), sheet.relaxation_time,
+                                grid, band, points)
 
 
 def analytic_sheet_coefficients(sheet: GrapheneSheet,
-                                frequencies: Sequence[float] | np.ndarray,
-                                constants: PhysicalConstants = CODATA2018,
+                                frequencies: Sequence[float] | np.ndarray
                                 ) -> SheetScatteringResult:
     """Exact thin-sheet r/t/absorption from the material model."""
     freqs = np.asarray(frequencies, dtype=float)
     if freqs.size == 0:
         raise ValidationError("frequency grid must be non-empty")
-    sigma = np.array([kubo_sigma(sheet, 2 * math.pi * f, constants).value
+    sigma = np.array([kubo_sigma(sheet, 2 * math.pi * f).value
                       for f in freqs])
-    s = constants.free_space_impedance * sigma / 2
+    s = CODATA2018.free_space_impedance * sigma / 2
     transmission = 1 / (1 + s)
     reflection = -s / (1 + s)
     absorption = 2 * s.real * np.abs(transmission) ** 2
@@ -264,17 +260,17 @@ def analytic_sheet_coefficients(sheet: GrapheneSheet,
 
 
 def compare_fdtd_analytic(sheet: GrapheneSheet, grid: Grid1D,
-                          band: tuple[float, float], points: int = 106,
-                          constants: PhysicalConstants = CODATA2018) -> float:
+                          band: tuple[float, float],
+                          points: int = 106) -> float:
     """Largest |r_fdtd - r_analytic| or |t_fdtd - t_analytic| over the band."""
-    fdtd = run_sheet_scattering(sheet, grid, band, points, constants)
-    return max_abs_error(sheet, fdtd, constants)
+    fdtd = run_sheet_scattering(sheet, grid, band, points)
+    return max_abs_error(sheet, fdtd)
 
 
-def max_abs_error(sheet: GrapheneSheet, fdtd: SheetScatteringResult,
-                  constants: PhysicalConstants = CODATA2018) -> float:
+def max_abs_error(sheet: GrapheneSheet,
+                  fdtd: SheetScatteringResult) -> float:
     """compare_fdtd_analytic's error measure for an existing FDTD result."""
-    exact = analytic_sheet_coefficients(sheet, fdtd.frequencies, constants)
+    exact = analytic_sheet_coefficients(sheet, fdtd.frequencies)
     err_r = np.max(np.abs(fdtd.reflection - exact.reflection))
     err_t = np.max(np.abs(fdtd.transmission - exact.transmission))
     return float(max(err_r, err_t))
@@ -282,10 +278,8 @@ def max_abs_error(sheet: GrapheneSheet, fdtd: SheetScatteringResult,
 
 def refinement_study(sheet: GrapheneSheet, band: tuple[float, float],
                      resolutions: Sequence[int] = (100, 200, 400),
-                     points: int = 106,
-                     constants: PhysicalConstants = CODATA2018,
-                     ) -> list[tuple[int, float]]:
+                     points: int = 106) -> list[tuple[int, float]]:
     """compare_fdtd_analytic at several resolutions, fixed physical layout."""
     return [(res, compare_fdtd_analytic(sheet, Grid1D.for_resolution(res),
-                                        band, points, constants))
+                                        band, points))
             for res in resolutions]

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .constants import CODATA2018, PhysicalConstants
+from .constants import CODATA2018
 from .errors import ValidationError, require_finite
 
 FERMI_LEVEL_RANGE_EV = (0.05, 2.0)
@@ -84,53 +84,49 @@ class SheetImpedance:
             raise ValidationError("sheet impedance members must be > 0")
 
 
-def drude_weight(sheet: GrapheneSheet,
-                 constants: PhysicalConstants = CODATA2018) -> float:
+def drude_weight(sheet: GrapheneSheet) -> float:
     """Drude weight A in S/s.
 
     Uses ln(2 cosh x) = x + ln(1 + exp(-2x)) for large x so that cold or
     strongly doped sheets do not overflow.
     """
-    e = constants.electron_charge
-    x = sheet.fermi_level * e / (2 * constants.boltzmann * sheet.temperature)
+    e = CODATA2018.electron_charge
+    x = sheet.fermi_level * e / (2 * CODATA2018.boltzmann * sheet.temperature)
     if x > 20.0:
         ln_2cosh = x + math.log1p(math.exp(-2 * x))
     else:
         ln_2cosh = math.log(2 * math.cosh(x))
-    prefactor = (2 * e**2 * constants.boltzmann * sheet.temperature
-                 / (math.pi * constants.reduced_planck**2))
+    prefactor = (2 * e**2 * CODATA2018.boltzmann * sheet.temperature
+                 / (math.pi * CODATA2018.reduced_planck**2))
     return prefactor * ln_2cosh
 
 
-def kubo_sigma(sheet: GrapheneSheet, angular_frequency: float,
-               constants: PhysicalConstants = CODATA2018) -> SheetConductivity:
+def kubo_sigma(sheet: GrapheneSheet,
+               angular_frequency: float) -> SheetConductivity:
     """Intraband surface conductivity at angular frequency w (rad/s)."""
     if angular_frequency <= 0:
         raise ValidationError("angular_frequency must be > 0")
-    a = drude_weight(sheet, constants)
+    a = drude_weight(sheet)
     sigma = a * 1j / (angular_frequency + 1j / sheet.relaxation_time)
     return SheetConductivity(sigma.real, sigma.imag)
 
 
-def sheet_impedance(sheet: GrapheneSheet,
-                    constants: PhysicalConstants = CODATA2018) -> SheetImpedance:
+def sheet_impedance(sheet: GrapheneSheet) -> SheetImpedance:
     """Frequency-independent R_s and L_k of the Drude sheet."""
-    a = drude_weight(sheet, constants)
+    a = drude_weight(sheet)
     return SheetImpedance(sheet_resistance=1.0 / (a * sheet.relaxation_time),
                           kinetic_inductance=1.0 / a)
 
 
-def mobility(sheet: GrapheneSheet,
-             constants: PhysicalConstants = CODATA2018) -> float:
+def mobility(sheet: GrapheneSheet) -> float:
     """Carrier mobility mu = tau e v_F^2 / E_F, in cm^2/(V s)."""
-    ef_joule = sheet.fermi_level * constants.electron_charge
-    mu_si = (sheet.relaxation_time * constants.electron_charge
-             * constants.fermi_velocity**2 / ef_joule)
+    ef_joule = sheet.fermi_level * CODATA2018.electron_charge
+    mu_si = (sheet.relaxation_time * CODATA2018.electron_charge
+             * CODATA2018.fermi_velocity**2 / ef_joule)
     return mu_si * 1e4
 
 
-def relaxation_from_mobility(mobility_cm2: float, fermi_level: float,
-                             constants: PhysicalConstants = CODATA2018) -> float:
+def relaxation_from_mobility(mobility_cm2: float, fermi_level: float) -> float:
     """Scattering time in seconds from mobility (cm^2/(V s)) and E_F (eV).
 
     Inverse of mobility(); the pair round-trips to double precision.
@@ -138,6 +134,6 @@ def relaxation_from_mobility(mobility_cm2: float, fermi_level: float,
     if mobility_cm2 <= 0 or fermi_level <= 0:
         raise ValidationError("mobility and fermi_level must be > 0")
     mu_si = mobility_cm2 * 1e-4
-    ef_joule = fermi_level * constants.electron_charge
-    return mu_si * ef_joule / (constants.electron_charge
-                               * constants.fermi_velocity**2)
+    ef_joule = fermi_level * CODATA2018.electron_charge
+    return mu_si * ef_joule / (CODATA2018.electron_charge
+                               * CODATA2018.fermi_velocity**2)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .constants import CODATA2018, PhysicalConstants
+from .constants import CODATA2018
 from .errors import (BracketError, ConvergenceError, InfeasibleDesignError,
                      ValidationError, require_finite)
 from .materials import GrapheneSheet
@@ -105,8 +105,8 @@ def patch_from_dimensions(width: float, length: float,
                          eps_eff=eps_eff, fringing_extension=d_l)
 
 
-def design_patch(target_frequency: float, substrate: SubstrateSpec,
-                 constants: PhysicalConstants = CODATA2018) -> PatchGeometry:
+def design_patch(target_frequency: float,
+                 substrate: SubstrateSpec) -> PatchGeometry:
     """Design a patch resonant at target_frequency (Hz) on the substrate.
 
     Raises InfeasibleDesignError when the fringing extension eats the whole
@@ -117,7 +117,7 @@ def design_patch(target_frequency: float, substrate: SubstrateSpec,
         raise ValidationError(
             f"target_frequency {target_frequency:.4g} Hz outside "
             f"[{lo:.0e}, {hi:.0e}] Hz")
-    c = constants.light_speed
+    c = CODATA2018.light_speed
     eps_r = substrate.rel_permittivity
     width = c / (2 * target_frequency) * math.sqrt(2 / (eps_r + 1))
     eps_eff = _eps_eff(eps_r, substrate.thickness, width)
@@ -130,18 +130,15 @@ def design_patch(target_frequency: float, substrate: SubstrateSpec,
     return patch_from_dimensions(width, length, substrate)
 
 
-def f_res_metal(geometry: PatchGeometry,
-                constants: PhysicalConstants = CODATA2018) -> float:
+def f_res_metal(geometry: PatchGeometry) -> float:
     """Fundamental resonance of a perfectly conducting patch, in Hz."""
-    return constants.light_speed / (
+    return CODATA2018.light_speed / (
         2 * (geometry.length + 2 * geometry.fringing_extension)
         * math.sqrt(geometry.eps_eff))
 
 
 def patch_for_target(target_frequency: float, substrate: SubstrateSpec,
-                     sheet: GrapheneSheet,
-                     constants: PhysicalConstants = CODATA2018,
-                     ) -> PatchGeometry:
+                     sheet: GrapheneSheet) -> PatchGeometry:
     """Shrink the patch length so a graphene patch resonates at the target.
 
     The width stays at the metal design value; the length is found by
@@ -156,12 +153,12 @@ def patch_for_target(target_frequency: float, substrate: SubstrateSpec,
     """
     from .circuit import ConductorSpec, graphene_resonance
 
-    metal = design_patch(target_frequency, substrate, constants)
+    metal = design_patch(target_frequency, substrate)
     conductor = ConductorSpec.graphene(sheet)
 
     def resonance(length: float) -> float:
         geom = patch_from_dimensions(metal.width, length, substrate)
-        return graphene_resonance(geom, conductor, constants)
+        return graphene_resonance(geom, conductor)
 
     lo, hi = metal.length / 2, metal.length
     f_lo = resonance(lo)

@@ -24,7 +24,7 @@ import cmath
 from dataclasses import dataclass
 from typing import Sequence
 
-from .constants import CODATA2018, PhysicalConstants
+from .constants import CODATA2018
 from .errors import ConvergenceError, NoBoundModeError, ValidationError
 from .materials import GrapheneSheet, SheetConductivity, kubo_sigma
 
@@ -74,10 +74,10 @@ def _solution_from_q(q: complex, k0: float) -> SppSolution:
     )
 
 
-def _symmetric_q(sigma: complex, eps: float, angular_frequency: float,
-                 constants: PhysicalConstants) -> complex:
-    k0 = angular_frequency / constants.light_speed
-    ratio = 2 * cmath.sqrt(eps) / (constants.free_space_impedance * sigma)
+def _symmetric_q(sigma: complex, eps: float,
+                 angular_frequency: float) -> complex:
+    k0 = angular_frequency / CODATA2018.light_speed
+    ratio = 2 * cmath.sqrt(eps) / (CODATA2018.free_space_impedance * sigma)
     q = k0 * cmath.sqrt(eps) * cmath.sqrt(1 - ratio * ratio)
     if q.imag < 0:
         q = -q
@@ -85,21 +85,19 @@ def _symmetric_q(sigma: complex, eps: float, angular_frequency: float,
 
 
 def spp_wavenumber_symmetric(sigma: SheetConductivity, eps: float,
-                             angular_frequency: float,
-                             constants: PhysicalConstants = CODATA2018,
-                             ) -> SppSolution:
+                             angular_frequency: float) -> SppSolution:
     """Closed-form TM mode of a sheet embedded in a uniform dielectric.
 
     The square-root branch is fixed by Im q >= 0 (decay along propagation).
     Raises NoBoundModeError when Re q does not exceed the light line of the
     surrounding medium.
     """
-    if eps < 1.0:
-        raise ValidationError("eps must be >= 1")
+    if not (cmath.isfinite(eps) and eps >= 1.0):
+        raise ValidationError("eps must be finite and >= 1")
     if angular_frequency <= 0:
         raise ValidationError("angular_frequency must be > 0")
-    k0 = angular_frequency / constants.light_speed
-    q = _symmetric_q(sigma.value, eps, angular_frequency, constants)
+    k0 = angular_frequency / CODATA2018.light_speed
+    q = _symmetric_q(sigma.value, eps, angular_frequency)
     light_line = k0 * cmath.sqrt(eps).real
     if q.real < light_line:
         raise NoBoundModeError(
@@ -110,9 +108,7 @@ def spp_wavenumber_symmetric(sigma: SheetConductivity, eps: float,
 
 def spp_wavenumber_asymmetric(sigma: SheetConductivity,
                               halfspaces: DielectricHalfspaces,
-                              angular_frequency: float,
-                              constants: PhysicalConstants = CODATA2018,
-                              ) -> SppSolution:
+                              angular_frequency: float) -> SppSolution:
     """TM mode of a sheet between two different dielectrics.
 
     Solves eps_a/kappa_a + eps_b/kappa_b = -i sigma/(w eps0) by damped
@@ -123,9 +119,9 @@ def spp_wavenumber_asymmetric(sigma: SheetConductivity,
     if angular_frequency <= 0:
         raise ValidationError("angular_frequency must be > 0")
     w = angular_frequency
-    k0 = w / constants.light_speed
+    k0 = w / CODATA2018.light_speed
     ea, eb = halfspaces.eps_above, halfspaces.eps_below
-    rhs = -1j * sigma.value / (w * constants.vacuum_permittivity)
+    rhs = -1j * sigma.value / (w * CODATA2018.vacuum_permittivity)
     scale = abs(rhs)
 
     def residual_and_derivative(q: complex) -> tuple[complex, complex]:
@@ -135,7 +131,7 @@ def spp_wavenumber_asymmetric(sigma: SheetConductivity,
         df = -q * (ea / ka**3 + eb / kb**3)
         return f, df
 
-    q = _symmetric_q(sigma.value, 0.5 * (ea + eb), w, constants)
+    q = _symmetric_q(sigma.value, 0.5 * (ea + eb), w)
     f, df = residual_and_derivative(q)
     for _ in range(NEWTON_MAX_ITER):
         if abs(f) / scale < NEWTON_REL_RESIDUAL:
@@ -182,9 +178,7 @@ class ConfinementCell:
 
 def confinement_sweep(sheets: Sequence[GrapheneSheet],
                       frequencies: Sequence[float],
-                      eps: float = 1.0,
-                      constants: PhysicalConstants = CODATA2018,
-                      ) -> list[ConfinementCell]:
+                      eps: float = 1.0) -> list[ConfinementCell]:
     """Symmetric-environment dispersion over a sheet x frequency grid.
 
     Returns cells in row-major order (sheets outer, frequencies inner).
@@ -198,8 +192,8 @@ def confinement_sweep(sheets: Sequence[GrapheneSheet],
         for f in frequencies:
             try:
                 w = 2 * cmath.pi * f
-                sigma = kubo_sigma(sheet, w, constants)
-                sol = spp_wavenumber_symmetric(sigma, eps, w, constants)
+                sigma = kubo_sigma(sheet, w)
+                sol = spp_wavenumber_symmetric(sigma, eps, w)
                 cells.append(ConfinementCell(sheet, f, sol, None))
             except (NoBoundModeError, ValidationError) as exc:
                 cells.append(ConfinementCell(sheet, f, None, str(exc)))

@@ -11,7 +11,8 @@ files. Numbers are written with 9 significant digits, which round-trips
 a double for golden-file comparison without noise-level churn. CSV output
 is a pair of files (spectra and summary); JSON mirrors the same fields in
 one document. Metal cells have no Fermi level or relaxation time: empty
-fields in CSV, null in JSON.
+fields in CSV, null in JSON. The CLI writes its tables with the same
+format_table and json_records.
 """
 
 from __future__ import annotations
@@ -19,11 +20,11 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 from .circuit import (AntennaReport, ConductorSpec, SpectrumResult,
                       gain_report, s11_spectrum)
 from .config import RunConfig
-from .constants import CODATA2018, PhysicalConstants
 from .errors import ThzPatchError, ValidationError
 from .materials import GrapheneSheet
 from .patch import design_patch
@@ -45,12 +46,9 @@ class SweepCellResult:
     error: str | None
 
 
-def run_sweep(config: RunConfig,
-              constants: PhysicalConstants = CODATA2018,
-              ) -> list[SweepCellResult]:
+def run_sweep(config: RunConfig) -> list[SweepCellResult]:
     """Evaluate every cell of the sweep; cells record their own failures."""
-    geometry = design_patch(config.design_frequency, config.substrate,
-                            constants)
+    geometry = design_patch(config.design_frequency, config.substrate)
     band = config.sweep.frequency_band
     points = config.sweep.frequency_points
 
@@ -59,9 +57,8 @@ def run_sweep(config: RunConfig,
     def evaluate(variant: str, fermi_ev: float | None, tau_ps: float | None,
                  conductor: ConductorSpec) -> SweepCellResult:
         try:
-            report = gain_report(geometry, conductor, band, points, constants)
-            spectrum = s11_spectrum(geometry, conductor, band, points,
-                                    constants)
+            report = gain_report(geometry, conductor, band, points)
+            spectrum = s11_spectrum(geometry, conductor, band, points)
             return SweepCellResult(variant, fermi_ev, tau_ps, report,
                                    spectrum, None)
         except ThzPatchError as exc:
@@ -82,9 +79,12 @@ def run_sweep(config: RunConfig,
     return cells
 
 
-def fmt9(x: float) -> str:
-    """A number as text with 9 significant digits."""
-    return f"{x:.9g}"
+def fmt9(value) -> str:
+    """One output cell as text: a float with 9 significant digits, None
+    as an empty field, anything else through str."""
+    if value is None:
+        return ""
+    return f"{value:.9g}" if isinstance(value, float) else str(value)
 
 
 def round9(value):
@@ -94,59 +94,26 @@ def round9(value):
     return value
 
 
-def _summary_rows(results: list[SweepCellResult]) -> list[dict]:
-    rows = []
-    for cell in results:
-        if cell.report is None:
-            continue
-        r = cell.report
-        rows.append({
-            "variant": cell.variant,
-            "fermi_eV": cell.fermi_ev,
-            "tau_ps": cell.tau_ps,
-            "f_res_GHz": r.resonant_frequency / 1e9,
-            "min_s11_dB": r.min_s11_db,
-            "bw_GHz": r.bandwidth_minus10db / 1e9,
-            "eff": r.efficiency,
-            "D_dBi": r.directivity_dbi,
-            "G_dBi": r.gain_dbi,
-        })
-    return rows
+def format_table(columns: Sequence[str], rows: Iterable[Sequence],
+                 sep: str = ",") -> str:
+    """A header line plus one line per row, cells joined by sep."""
+    lines = [sep.join(columns)]
+    lines.extend(sep.join(map(fmt9, row)) for row in rows)
+    return "\n".join(lines) + "\n"
 
 
-def _spectra_rows(results: list[SweepCellResult]) -> list[dict]:
-    rows = []
-    for cell in results:
-        if cell.spectrum is None:
-            continue
-        for p in cell.spectrum:
-            rows.append({
-                "variant": cell.variant,
-                "fermi_eV": cell.fermi_ev,
-                "tau_ps": cell.tau_ps,
-                "freq_GHz": p.frequency / 1e9,
-                "s11_dB": p.s11_db,
-                "Rin_ohm": p.input_resistance,
-                "Xin_ohm": p.input_reactance,
-            })
-    return rows
+def json_records(columns: Sequence[str],
+                 rows: Iterable[Sequence]) -> list[dict]:
+    """Rows as JSON-ready objects keyed by column, floats rounded by round9."""
+    return [{k: round9(v) for k, v in zip(columns, row)} for row in rows]
 
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    return fmt9(value)
-
-
-def _write_csv(path: str, header: str, rows: list[dict]) -> None:
-    columns = header.split(",")
-    lines = [header]
-    lines.extend(",".join(_csv_cell(row[col]) for col in columns)
-                 for row in rows)
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+def summary_row(variant: str, fermi_ev: float | None, tau_ps: float | None,
+                report: AntennaReport) -> tuple:
+    """The SUMMARY_HEADER fields of one solved cell, in header order."""
+    return (variant, fermi_ev, tau_ps, report.resonant_frequency / 1e9,
+            report.min_s11_db, report.bandwidth_minus10db / 1e9,
+            report.efficiency, report.directivity_dbi, report.gain_dbi)
 
 
 def emit(results: list[SweepCellResult], output_format: str,
@@ -162,18 +129,26 @@ def emit(results: list[SweepCellResult], output_format: str,
     if parent:
         os.makedirs(parent, exist_ok=True)
 
-    summary = _summary_rows(results)
-    spectra = _spectra_rows(results)
+    solved = [cell for cell in results if cell.report is not None]
+    tables = {
+        "spectra": (SPECTRA_HEADER.split(","), [
+            (c.variant, c.fermi_ev, c.tau_ps, p.frequency / 1e9, p.s11_db,
+             p.input_resistance, p.input_reactance)
+            for c in solved for p in c.spectrum]),
+        "summary": (SUMMARY_HEADER.split(","), [
+            summary_row(c.variant, c.fermi_ev, c.tau_ps, c.report)
+            for c in solved]),
+    }
 
     if output_format == "csv":
-        _write_csv(f"{path}_spectra.csv", SPECTRA_HEADER, spectra)
-        _write_csv(f"{path}_summary.csv", SUMMARY_HEADER, summary)
+        for name, (columns, rows) in tables.items():
+            with open(f"{path}_{name}.csv", "w", newline="\n") as fh:
+                fh.write(format_table(columns, rows))
         return
 
-    def rounded(rows: list[dict]) -> list[dict]:
-        return [{k: round9(v) for k, v in row.items()} for row in rows]
-
-    doc = {"spectra": rounded(spectra), "summary": rounded(summary)}
+    doc = {name: json_records(columns, rows)
+           for name, (columns, rows) in tables.items()}
+    # json.dump streams the document; json.dumps would hold it whole.
     with open(f"{path}.json", "w", newline="\n") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")

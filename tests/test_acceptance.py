@@ -57,12 +57,8 @@ def sweep_cells():
 
 
 def _cell(cells, fermi, tau):
-    # the config range generator builds grid values as start + k*step,
-    # so match with a tolerance rather than bit equality
     for c in cells:
-        if c.variant == "graphene" \
-                and math.isclose(c.fermi_ev, fermi, abs_tol=1e-9) \
-                and math.isclose(c.tau_ps, tau, abs_tol=1e-9):
+        if (c.variant, c.fermi_ev, c.tau_ps) == ("graphene", fermi, tau):
             return c.report
     raise AssertionError(f"no sweep cell ({fermi}, {tau})")
 

@@ -55,6 +55,19 @@ def test_grid_validation():
                sheet_index=ok.sheet_index, courant_number=1.2)
 
 
+@pytest.mark.parametrize("field", ["cell_size", "time_step",
+                                   "courant_number"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_grid_rejects_non_finite(field, value):
+    ok = Grid1D.for_resolution(100)
+    fields = dict(cell_size=ok.cell_size, cell_count=ok.cell_count,
+                  time_step=ok.time_step, sheet_index=ok.sheet_index,
+                  courant_number=ok.courant_number)
+    fields[field] = value
+    with pytest.raises(ValidationError, match=f"{field} must be finite"):
+        Grid1D(**fields)
+
+
 def test_band_validation():
     grid = Grid1D.for_resolution(100)
     with pytest.raises(ValidationError):

@@ -1,13 +1,18 @@
-"""Reference sweep pinned byte for byte.
+"""Reference sweep and CLI outputs pinned byte for byte.
 
-tests/golden/ holds the summary CSV of `thzpatch sweep paper.cfg` verbatim
-and the SHA-256 of the spectra CSV and the JSON document. They were
-written once from a known-good build and are never regenerated: a
-mismatch means a change moved an output byte.
+tests/golden/ holds the summary CSV of `thzpatch sweep paper.cfg` verbatim,
+the SHA-256 of the spectra CSV and the JSON document, and the stdout of
+the design, analyze, resize and spp commands (cli_*.txt/csv/json) in each
+output format. They were written once from a known-good build and are
+never regenerated: a mismatch means a change moved an output byte.
+FDTD output is not pinned: its DFT is a matrix product whose last bits
+may differ between BLAS builds.
 """
 
 import hashlib
 from pathlib import Path
+
+import pytest
 
 from thzpatch import cli_main
 
@@ -40,3 +45,30 @@ def test_reference_sweep_json_matches_golden(tmp_path):
     _sweep(tmp_path, "json")
     doc = (tmp_path / "paper.json").read_bytes()
     assert hashlib.sha256(doc).hexdigest() == _digests()["paper.json"]
+
+
+SHEET = ["--ef", "1.2eV", "--tau", "1.2ps"]
+CLI_CASES = {
+    "design": ["design", "--f0", "280GHz"],
+    "analyze": ["analyze", "--f0", "280GHz", *SHEET],
+    "resize": ["resize", "--f0", "280GHz", *SHEET],
+    "spp": ["spp", *SHEET],
+    "spp_halfspaces": ["spp", *SHEET, "--eps-above", "1", "--eps-below",
+                       "3.5"],
+}
+FORMATS = {"txt": [], "csv": ["--format", "csv"], "json": ["--format", "json"]}
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("case", CLI_CASES)
+def test_cli_stdout_matches_golden(capsysbinary, case, fmt):
+    assert cli_main(CLI_CASES[case] + FORMATS[fmt]) == 0
+    assert capsysbinary.readouterr().out == \
+        (GOLDEN / f"cli_{case}.{fmt}").read_bytes()
+
+
+def test_cli_out_file_matches_golden(tmp_path):
+    out = tmp_path / "design.json"
+    assert cli_main(CLI_CASES["design"] + FORMATS["json"]
+                    + ["--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / "cli_design.json").read_bytes()

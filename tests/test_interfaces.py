@@ -1,0 +1,41 @@
+"""The package interfaces that the benchmark and the demos call.
+
+bench/tracing.py wraps named functions of each layer module from outside
+the package, and the demos call the public API as scripts. No other test
+runs either, so a renamed function or a changed signature would otherwise
+surface only when the benchmark or a demo broke.
+"""
+
+import importlib
+import importlib.util
+import runpy
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).parent.parent
+DEMOS = sorted(p.name for p in (ROOT / "demos").glob("*.py"))
+
+
+def _load_by_path(path: Path):
+    spec = importlib.util.spec_from_file_location(f"_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_functions_exist(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    tracing = _load_by_path(ROOT / "bench" / "tracing.py")
+    for layer, names in tracing.WRAPPED.items():
+        module = importlib.import_module(f"thzpatch.{layer}")
+        for name in names:
+            assert callable(getattr(module, name, None)), \
+                f"thzpatch.{layer}.{name}"
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demo_runs(capsys, demo):
+    runpy.run_path(str(ROOT / "demos" / demo), run_name="__main__")
+    assert capsys.readouterr().out

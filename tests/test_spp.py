@@ -88,6 +88,12 @@ def test_symmetric_validation():
         spp_wavenumber_symmetric(sigma, 1.0, -W_280)
 
 
+@pytest.mark.parametrize("eps", [math.nan, math.inf])
+def test_symmetric_rejects_non_finite_eps(eps):
+    with pytest.raises(ValidationError, match="eps must be finite and >= 1"):
+        spp_wavenumber_symmetric(graphene_sigma(0.6, 0.6), eps, W_280)
+
+
 @given(ef=st.floats(0.05, 2.0), tau_ps=st.floats(0.05, 5.0),
        freq=st.floats(100e9, 2e12), eps=st.floats(1.0, 12.0))
 @settings(max_examples=80)

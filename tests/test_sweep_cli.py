@@ -209,6 +209,16 @@ def test_cli_spp_unbound_sheet_is_a_numerical_failure(capsys):
     assert "bind a TM mode" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_cli_spp_non_finite_eps_is_a_usage_error(capsys, value):
+    code = cli_main(["spp", "--ef", "1.2eV", "--tau", "1.2ps",
+                     "--eps", value])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "eps must be finite and >= 1" in err
+
+
 def test_cli_spp_halfspace_flags_go_together(capsys):
     code = cli_main(["spp", "--ef", "1.2eV", "--tau", "1.2ps",
                      "--eps-above", "1.0"])
