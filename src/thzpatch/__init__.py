@@ -8,10 +8,10 @@ cross-check of the sheet response, and batch sweeps with CSV/JSON output.
 """
 
 from .circuit import (ALUMINUM_CONDUCTIVITY, REFERENCE_IMPEDANCE,
-                      AntennaReport, ConductorSpec, QFactors, SpectrumResult,
-                      bandwidth_minus10db, directivity_dbi, gain_report,
-                      graphene_resonance, mutual_conductance_ratio, q_factors,
-                      s11_spectrum)
+                      AntennaReport, ConductorSpec, QFactors, Spectrum,
+                      SpectrumResult, bandwidth_minus10db, directivity_dbi,
+                      evaluate, gain_report, graphene_resonance,
+                      mutual_conductance_ratio, q_factors, s11_spectrum)
 from .cli import cli_main
 from .config import (RunConfig, SweepGrid, parse_config, parse_quantity,
                      parse_quantity_list)
@@ -64,6 +64,7 @@ __all__ = [
     "SheetImpedance",
     "SheetScatteringResult",
     "SppSolution",
+    "Spectrum",
     "SpectrumResult",
     "SubstrateSpec",
     "SweepCellResult",
@@ -80,6 +81,7 @@ __all__ = [
     "directivity_dbi",
     "drude_weight",
     "emit",
+    "evaluate",
     "f_res_metal",
     "gain_report",
     "graphene_resonance",

@@ -25,15 +25,17 @@ S11 floors at -120 dB to keep logs finite at a perfect match.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import j0
 
 from .constants import CODATA2018
-from .errors import ValidationError, require_finite
+from .errors import ValidationError, require_band, require_finite
 from .materials import GrapheneSheet, sheet_impedance
 from .patch import PatchGeometry, f_res_metal
 
@@ -97,6 +99,27 @@ class SpectrumResult:
     input_reactance: float
 
 
+@dataclass(frozen=True, eq=False)
+class Spectrum:
+    """The reflection response sampled over a band, one array per quantity.
+
+    Iterating yields the samples as SpectrumResult points of Python floats.
+    """
+
+    frequency: np.ndarray
+    s11_db: np.ndarray
+    input_resistance: np.ndarray
+    input_reactance: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.frequency)
+
+    def __iter__(self) -> Iterator[SpectrumResult]:
+        return map(SpectrumResult, self.frequency.tolist(),
+                   self.s11_db.tolist(), self.input_resistance.tolist(),
+                   self.input_reactance.tolist())
+
+
 @dataclass(frozen=True)
 class AntennaReport:
     """Scalar summary of one antenna variant."""
@@ -139,11 +162,14 @@ def _slot_base(theta: float, k0w_half: float) -> float:
     return amp * amp * math.sin(theta) ** 3
 
 
+@functools.lru_cache(maxsize=256)
 def mutual_conductance_ratio(geometry: PatchGeometry,
                              frequency: float) -> float:
     """g12: mutual slot conductance relative to the self conductance.
 
     The slot pair sits at the effective resonant length L + 2 dL apart.
+    Results are cached per (geometry, frequency): a sweep asks for the
+    same few resonances of one geometry many times.
     """
     k0 = 2 * math.pi * frequency / CODATA2018.light_speed
     k0w_half = k0 * geometry.width / 2
@@ -201,32 +227,26 @@ def _transformer_ratio(geometry: PatchGeometry) -> float:
 
 
 def s11_spectrum(geometry: PatchGeometry, conductor: ConductorSpec,
-                 band: tuple[float, float], points: int
-                 ) -> list[SpectrumResult]:
+                 band: tuple[float, float], points: int) -> Spectrum:
     """Reflection response over the band against the 50 ohm reference."""
-    f_lo, f_hi = band
-    if not (f_lo < f_hi):
-        raise ValidationError("band must satisfy f_lo < f_hi")
+    require_band(band)
     if points < 2:
         raise ValidationError("points must be >= 2")
     f_res, q, r_peak = _resonator_parameters(geometry, conductor)
     n_sq = _transformer_ratio(geometry)
 
-    freqs = np.linspace(f_lo, f_hi, points)
+    freqs = np.linspace(band[0], band[1], points)
     detune = freqs / f_res - f_res / freqs
     z_in = (r_peak / (1 + 1j * q * detune)) / n_sq
     gamma = (z_in - REFERENCE_IMPEDANCE) / (z_in + REFERENCE_IMPEDANCE)
     with np.errstate(divide="ignore"):
         s11_db = 20 * np.log10(np.abs(gamma))
     s11_db = np.maximum(s11_db, S11_FLOOR_DB)
-
-    return [SpectrumResult(frequency=float(f), s11_db=float(s),
-                           input_resistance=float(z.real),
-                           input_reactance=float(z.imag))
-            for f, s, z in zip(freqs, s11_db, z_in)]
+    return Spectrum(frequency=freqs, s11_db=s11_db,
+                    input_resistance=z_in.real, input_reactance=z_in.imag)
 
 
-def bandwidth_minus10db(spectrum: list[SpectrumResult]) -> float:
+def bandwidth_minus10db(spectrum: Spectrum) -> float:
     """Width of the -10 dB interval around the deepest dip, in Hz.
 
     Linear interpolation at the crossings; 0 when the dip never reaches
@@ -235,22 +255,21 @@ def bandwidth_minus10db(spectrum: list[SpectrumResult]) -> float:
     """
     if len(spectrum) < 2:
         raise ValidationError("spectrum needs at least 2 points")
-    freqs = [p.frequency for p in spectrum]
-    if any(b <= a for a, b in zip(freqs, freqs[1:])):
+    if np.any(np.diff(spectrum.frequency) <= 0):
         raise ValidationError("spectrum must be sorted by frequency")
-    s11 = [p.s11_db for p in spectrum]
     threshold = -10.0
-    i_min = min(range(len(s11)), key=s11.__getitem__)
-    if s11[i_min] > threshold:
+    i_min = int(np.argmin(spectrum.s11_db))
+    if spectrum.s11_db[i_min] > threshold:
         return 0.0
 
-    lo = i_min
-    while lo > 0 and s11[lo - 1] <= threshold:
-        lo -= 1
-    hi = i_min
-    while hi < len(s11) - 1 and s11[hi + 1] <= threshold:
-        hi += 1
+    # The dip region: the run of samples at or below the threshold
+    # that contains the deepest one.
+    above = np.flatnonzero(spectrum.s11_db > threshold)
+    lo = int(above[above < i_min].max(initial=-1)) + 1
+    hi = int(above[above > i_min].min(initial=len(spectrum))) - 1
 
+    freqs = spectrum.frequency.tolist()
+    s11 = spectrum.s11_db.tolist()
     if lo == 0:
         f_left = freqs[0]
     else:
@@ -276,25 +295,33 @@ def directivity_dbi(geometry: PatchGeometry, frequency: float) -> float:
     return 6.6 + 10 * math.log10(3 * geometry.width / lam0)
 
 
-def gain_report(geometry: PatchGeometry, conductor: ConductorSpec,
-                band: tuple[float, float] = (220e9, 325e9),
-                points: int = 211) -> AntennaReport:
-    """Scalar antenna summary: resonance, dip, bandwidth, efficiency, gain.
+def evaluate(geometry: PatchGeometry, conductor: ConductorSpec,
+             band: tuple[float, float] = (220e9, 325e9),
+             points: int = 211) -> tuple[AntennaReport, Spectrum]:
+    """The antenna summary and the S11 spectrum it is read from.
 
     Efficiency is q_total/q_radiation at the variant's own resonance;
     directivity is evaluated there too. The dip depth and bandwidth come
     from the sampled spectrum over the band.
     """
+    spectrum = s11_spectrum(geometry, conductor, band, points)
     f_res = graphene_resonance(geometry, conductor)
     qf = q_factors(geometry, conductor, f_res)
     efficiency = qf.q_total / qf.q_radiation
-    spectrum = s11_spectrum(geometry, conductor, band, points)
     d_dbi = directivity_dbi(geometry, f_res)
-    return AntennaReport(
+    report = AntennaReport(
         resonant_frequency=f_res,
-        min_s11_db=min(p.s11_db for p in spectrum),
+        min_s11_db=float(spectrum.s11_db.min()),
         bandwidth_minus10db=bandwidth_minus10db(spectrum),
         efficiency=efficiency,
         directivity_dbi=d_dbi,
         gain_dbi=d_dbi + 10 * math.log10(efficiency),
     )
+    return report, spectrum
+
+
+def gain_report(geometry: PatchGeometry, conductor: ConductorSpec,
+                band: tuple[float, float] = (220e9, 325e9),
+                points: int = 211) -> AntennaReport:
+    """Scalar antenna summary: resonance, dip, bandwidth, efficiency, gain."""
+    return evaluate(geometry, conductor, band, points)[0]

@@ -32,7 +32,7 @@ from .patch import SubstrateSpec, design_patch, f_res_metal, patch_for_target
 from .spp import (DielectricHalfspaces, spp_wavenumber_asymmetric,
                   spp_wavenumber_symmetric)
 from .sweep import (SUMMARY_HEADER, emit, fmt9, format_table, json_records,
-                    run_sweep, summary_row)
+                    run_sweep, summary_row, write_atomic)
 
 FDTD_ERROR_THRESHOLD = 0.01
 
@@ -58,8 +58,7 @@ def _emit(columns: Sequence[str], rows: list[Sequence], fmt: str | None,
     if out_path is None:
         sys.stdout.write(body)
     else:
-        with open(out_path, "w", newline="\n") as fh:
-            fh.write(body)
+        write_atomic(out_path, [body])
 
 
 def _substrate_from_args(args: argparse.Namespace) -> SubstrateSpec:

@@ -36,6 +36,13 @@ def require_finite(obj: object, *fields: str) -> None:
             raise ValidationError("must be finite", field=name)
 
 
+def require_band(band: tuple[float, float]) -> None:
+    """Reject a frequency band unless it is finite with 0 < f_lo < f_hi."""
+    f_lo, f_hi = band
+    if not (0 < f_lo < f_hi and math.isfinite(f_hi)):
+        raise ValidationError("band must satisfy 0 < f_lo < f_hi")
+
+
 class InfeasibleDesignError(ValidationError):
     """The requested design has no physical solution (e.g. patch length <= 0)."""
 

@@ -34,7 +34,8 @@ from typing import Sequence
 import numpy as np
 
 from .constants import CODATA2018
-from .errors import InstabilityError, ValidationError, require_finite
+from .errors import (InstabilityError, ValidationError, require_band,
+                     require_finite)
 from .materials import GrapheneSheet, drude_weight, kubo_sigma
 
 DESIGN_F_MAX = 325e9            # the invariant cell_size <= lambda/100 uses this
@@ -123,10 +124,8 @@ def _layout(grid: Grid1D) -> tuple[int, int, int]:
 
 
 def _validate_band(band: tuple[float, float]) -> None:
-    f_lo, f_hi = band
-    if not (0 < f_lo < f_hi):
-        raise ValidationError("band must satisfy 0 < f_lo < f_hi")
-    for f in (f_lo, f_hi):
+    require_band(band)
+    for f in band:
         x = f / SOURCE_CENTER_HZ
         # Spectrum of the differentiated Gaussian relative to its peak.
         if x * math.exp((1 - x * x) / 2) < 0.1:

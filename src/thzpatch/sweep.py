@@ -12,18 +12,20 @@ a double for golden-file comparison without noise-level churn. CSV output
 is a pair of files (spectra and summary); JSON mirrors the same fields in
 one document. Metal cells have no Fermi level or relaxation time: empty
 fields in CSV, null in JSON. The CLI writes its tables with the same
-format_table and json_records.
+format_table and json_records; emit writes the spectra, the bulk of a
+sweep's output, with one %-template per cell that gives the same bytes.
+Every file is written whole or not at all (write_atomic).
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .circuit import (AntennaReport, ConductorSpec, SpectrumResult,
-                      gain_report, s11_spectrum)
+from .circuit import AntennaReport, ConductorSpec, Spectrum, evaluate
 from .config import RunConfig
 from .errors import ThzPatchError, ValidationError
 from .materials import GrapheneSheet
@@ -42,7 +44,7 @@ class SweepCellResult:
     fermi_ev: float | None
     tau_ps: float | None
     report: AntennaReport | None
-    spectrum: list[SpectrumResult] | None
+    spectrum: Spectrum | None
     error: str | None
 
 
@@ -54,28 +56,27 @@ def run_sweep(config: RunConfig) -> list[SweepCellResult]:
 
     cells: list[SweepCellResult] = []
 
-    def evaluate(variant: str, fermi_ev: float | None, tau_ps: float | None,
-                 conductor: ConductorSpec) -> SweepCellResult:
+    def solve(variant: str, fermi_ev: float | None, tau_ps: float | None,
+              conductor: ConductorSpec) -> SweepCellResult:
         try:
-            report = gain_report(geometry, conductor, band, points)
-            spectrum = s11_spectrum(geometry, conductor, band, points)
-            return SweepCellResult(variant, fermi_ev, tau_ps, report,
-                                   spectrum, None)
+            report, spectrum = evaluate(geometry, conductor, band, points)
         except ThzPatchError as exc:
             return SweepCellResult(variant, fermi_ev, tau_ps, None, None,
                                    str(exc))
+        return SweepCellResult(variant, fermi_ev, tau_ps, report, spectrum,
+                               None)
 
     for variant in config.sweep.variants:
         if variant == "metal":
-            cells.append(evaluate("metal", None, None, ConductorSpec.metal()))
+            cells.append(solve("metal", None, None, ConductorSpec.metal()))
             continue
         for ef in config.sweep.fermi_levels:
             for tau_ps in config.sweep.relaxation_times:
                 sheet = GrapheneSheet(fermi_level=ef,
                                       relaxation_time=tau_ps * 1e-12,
                                       temperature=config.temperature)
-                cells.append(evaluate("graphene", ef, tau_ps,
-                                      ConductorSpec.graphene(sheet)))
+                cells.append(solve("graphene", ef, tau_ps,
+                                   ConductorSpec.graphene(sheet)))
     return cells
 
 
@@ -116,12 +117,83 @@ def summary_row(variant: str, fermi_ev: float | None, tau_ps: float | None,
             report.efficiency, report.directivity_dbi, report.gain_dbi)
 
 
+def write_atomic(path: str, chunks: Iterable[str]) -> None:
+    """Write the concatenated chunks to path, or leave path as it was.
+
+    The text goes to a temporary file beside path, which replaces path
+    only once it is complete; on any error the temporary file is removed.
+    """
+    head, name = os.path.split(path)
+    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    fh = open(tmp, "w", newline="\n")
+    try:
+        with fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
+
+
+# Spectra rows are written a cell at a time: the cell's identifying fields
+# are formatted once into a %-template that takes the four numeric columns.
+# "%.9g" is fmt9 of a float, and "%r" of a round9-rounded float is its JSON
+# text (spectra values are finite, so no NaN or Infinity arises).
+
+def _spectra_columns(spectrum: Spectrum) -> tuple[list, list, list, list]:
+    return ((spectrum.frequency / 1e9).tolist(), spectrum.s11_db.tolist(),
+            spectrum.input_resistance.tolist(),
+            spectrum.input_reactance.tolist())
+
+
+def _csv_spectra(cell: SweepCellResult) -> str:
+    """The cell's SPECTRA_HEADER rows as CSV lines."""
+    key = ",".join(map(fmt9, (cell.variant, cell.fermi_ev, cell.tau_ps)))
+    template = key.replace("%", "%%") + ",%.9g,%.9g,%.9g,%.9g\n"
+    return "".join(map(template.__mod__,
+                       zip(*_spectra_columns(cell.spectrum))))
+
+
+def _json9(value) -> str:
+    """One output cell as JSON text, floats rounded by round9."""
+    return json.dumps(round9(value))
+
+
+def _json_object(columns: Sequence[str], texts: Iterable[str]) -> str:
+    """An object as json.dump(indent=2) lays out a row of a top-level list."""
+    fields = ",\n".join(f"      {json.dumps(k)}: {v}"
+                        for k, v in zip(columns, texts))
+    return f"    {{\n{fields}\n    }}"
+
+
+def _json_spectra(cell: SweepCellResult) -> str:
+    """The cell's SPECTRA_HEADER rows as JSON objects joined by ",\\n"."""
+    key = [_json9(v).replace("%", "%%")
+           for v in (cell.variant, cell.fermi_ev, cell.tau_ps)]
+    template = _json_object(SPECTRA_HEADER.split(","), key + ["%r"] * 4)
+    rounded = ([float("%.9g" % v) for v in column]
+               for column in _spectra_columns(cell.spectrum))
+    return ",\n".join(map(template.__mod__, zip(*rounded)))
+
+
+def _json_list(key: str, objects: Iterable[str]) -> Iterator[str]:
+    """A top-level list member as json.dump(indent=2) lays it out."""
+    yield f"  {json.dumps(key)}: ["
+    sep = "\n"
+    for text in objects:
+        yield sep + text
+        sep = ",\n"
+    yield "]" if sep == "\n" else "\n  ]"
+
+
 def emit(results: list[SweepCellResult], output_format: str,
          path: str) -> None:
     """Write results to `path`-derived files in the requested format.
 
     csv: {path}_spectra.csv and {path}_summary.csv.
     json: {path}.json with "spectra" and "summary" arrays.
+    Each file is written whole or not at all (see write_atomic).
     """
     if output_format not in ("csv", "json"):
         raise ValidationError("output_format must be csv or json")
@@ -130,25 +202,19 @@ def emit(results: list[SweepCellResult], output_format: str,
         os.makedirs(parent, exist_ok=True)
 
     solved = [cell for cell in results if cell.report is not None]
-    tables = {
-        "spectra": (SPECTRA_HEADER.split(","), [
-            (c.variant, c.fermi_ev, c.tau_ps, p.frequency / 1e9, p.s11_db,
-             p.input_resistance, p.input_reactance)
-            for c in solved for p in c.spectrum]),
-        "summary": (SUMMARY_HEADER.split(","), [
-            summary_row(c.variant, c.fermi_ev, c.tau_ps, c.report)
-            for c in solved]),
-    }
-
+    summary = [summary_row(c.variant, c.fermi_ev, c.tau_ps, c.report)
+               for c in solved]
     if output_format == "csv":
-        for name, (columns, rows) in tables.items():
-            with open(f"{path}_{name}.csv", "w", newline="\n") as fh:
-                fh.write(format_table(columns, rows))
-        return
-
-    doc = {name: json_records(columns, rows)
-           for name, (columns, rows) in tables.items()}
-    # json.dump streams the document; json.dumps would hold it whole.
-    with open(f"{path}.json", "w", newline="\n") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        write_atomic(f"{path}_spectra.csv",
+                     itertools.chain([SPECTRA_HEADER + "\n"],
+                                     map(_csv_spectra, solved)))
+        write_atomic(f"{path}_summary.csv",
+                     [format_table(SUMMARY_HEADER.split(","), summary)])
+    else:
+        columns = SUMMARY_HEADER.split(",")
+        write_atomic(f"{path}.json", itertools.chain(
+            ["{\n"], _json_list("spectra", map(_json_spectra, solved)),
+            [",\n"], _json_list("summary", (
+                _json_object(columns, map(_json9, row))
+                for row in summary)),
+            ["\n}\n"]))

@@ -5,15 +5,17 @@ Reference values from tests/oracles.py.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thzpatch import (ConductorSpec, GrapheneSheet, SpectrumResult,
+from thzpatch import (ConductorSpec, GrapheneSheet, Spectrum, SpectrumResult,
                       SubstrateSpec, ValidationError, bandwidth_minus10db,
-                      design_patch, directivity_dbi, f_res_metal, gain_report,
-                      graphene_resonance, mutual_conductance_ratio,
-                      patch_from_dimensions, q_factors, s11_spectrum)
+                      design_patch, directivity_dbi, evaluate, f_res_metal,
+                      gain_report, graphene_resonance,
+                      mutual_conductance_ratio, patch_from_dimensions,
+                      q_factors, s11_spectrum)
 
 BAND = (220e9, 325e9)
 POINTS = 211
@@ -180,9 +182,44 @@ def test_metal_bandwidth_matches_rlc_closed_form(designed):
 
 
 def _flat_spectrum(levels, f0=200e9, df=1e9):
-    return [SpectrumResult(frequency=f0 + i * df, s11_db=s,
-                           input_resistance=50.0, input_reactance=0.0)
-            for i, s in enumerate(levels)]
+    n = len(levels)
+    return Spectrum(frequency=f0 + np.arange(n) * df,
+                    s11_db=np.array(levels, dtype=float),
+                    input_resistance=np.full(n, 50.0),
+                    input_reactance=np.zeros(n))
+
+
+def _bandwidth_by_loop(freqs, s11):
+    """The -10 dB width walked sample by sample: the reference for the
+    array search in bandwidth_minus10db."""
+    i_min = min(range(len(s11)), key=s11.__getitem__)
+    if s11[i_min] > -10.0:
+        return 0.0
+    lo = hi = i_min
+    while lo > 0 and s11[lo - 1] <= -10.0:
+        lo -= 1
+    while hi < len(s11) - 1 and s11[hi + 1] <= -10.0:
+        hi += 1
+    if lo == 0:
+        f_left = freqs[0]
+    else:
+        frac = (-10.0 - s11[lo - 1]) / (s11[lo] - s11[lo - 1])
+        f_left = freqs[lo - 1] + frac * (freqs[lo] - freqs[lo - 1])
+    if hi == len(s11) - 1:
+        f_right = freqs[-1]
+    else:
+        frac = (-10.0 - s11[hi]) / (s11[hi + 1] - s11[hi])
+        f_right = freqs[hi] + frac * (freqs[hi + 1] - freqs[hi])
+    return f_right - f_left
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([-30.0, -20.0, -10.0, -9.0, -3.0, 0.0])
+                | st.floats(-40.0, 0.0), min_size=2, max_size=12))
+def test_bandwidth_equals_the_sample_walk(levels):
+    spectrum = _flat_spectrum(levels)
+    assert bandwidth_minus10db(spectrum) == \
+        _bandwidth_by_loop(spectrum.frequency.tolist(), levels)
 
 
 def test_bandwidth_zero_when_dip_is_shallow():
@@ -203,7 +240,9 @@ def test_bandwidth_clips_at_spectrum_edges():
 def test_bandwidth_input_validation():
     with pytest.raises(ValidationError):
         bandwidth_minus10db(_flat_spectrum([-20.0]))
-    backwards = list(reversed(_flat_spectrum([0.0, -20.0, 0.0])))
+    forwards = _flat_spectrum([0.0, -20.0, 0.0])
+    backwards = Spectrum(*(getattr(forwards, k)[::-1] for k in (
+        "frequency", "s11_db", "input_resistance", "input_reactance")))
     with pytest.raises(ValidationError):
         bandwidth_minus10db(backwards)
 
@@ -213,6 +252,34 @@ def test_spectrum_input_validation(designed):
         s11_spectrum(designed, ConductorSpec.metal(), (325e9, 220e9), POINTS)
     with pytest.raises(ValidationError):
         s11_spectrum(designed, ConductorSpec.metal(), BAND, 1)
+
+
+@pytest.mark.parametrize("band", [(0.0, 325e9), (-1e9, 325e9),
+                                  (220e9, math.inf), (math.nan, 325e9),
+                                  (220e9, math.nan), (-math.inf, 325e9)])
+def test_spectrum_rejects_a_band_outside_positive_finite(designed, band):
+    with pytest.raises(ValidationError, match="0 < f_lo < f_hi"):
+        s11_spectrum(designed, ConductorSpec.metal(), band, POINTS)
+
+
+def test_spectrum_arrays_iterate_as_points(designed):
+    spectrum = s11_spectrum(designed, ConductorSpec.metal(), BAND, 11)
+    points = list(spectrum)
+    assert len(spectrum) == len(points) == 11
+    assert all(type(p) is SpectrumResult for p in points)
+    assert all(type(v) is float for p in points for v in vars(p).values())
+    assert [p.s11_db for p in points] == spectrum.s11_db.tolist()
+    assert points[0].frequency == BAND[0] and points[-1].frequency == BAND[1]
+
+
+def test_evaluate_returns_the_report_and_its_spectrum(designed):
+    spec = ConductorSpec.graphene(GrapheneSheet(0.9, 0.9e-12))
+    report, spectrum = evaluate(designed, spec, BAND, POINTS)
+    assert report == gain_report(designed, spec, BAND, POINTS)
+    again = s11_spectrum(designed, spec, BAND, POINTS)
+    assert list(spectrum) == list(again)
+    assert report.min_s11_db == min(p.s11_db for p in again)
+    assert report.bandwidth_minus10db == bandwidth_minus10db(again)
 
 
 def test_directivity_exact_at_design_frequency(designed):

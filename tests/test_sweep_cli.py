@@ -3,10 +3,15 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from thzpatch import (SPECTRA_HEADER, SUMMARY_HEADER, ValidationError,
-                      cli_main, emit, parse_config, run_sweep)
+from thzpatch import (SPECTRA_HEADER, SUMMARY_HEADER, Spectrum,
+                      SweepCellResult, ValidationError, cli_main, emit,
+                      mutual_conductance_ratio, parse_config, run_sweep, sweep)
+from thzpatch.sweep import fmt9, format_table, json_records, summary_row
 
 ROOT = Path(__file__).parent.parent
 
@@ -117,6 +122,103 @@ def test_emit_is_deterministic(tmp_path):
 def test_emit_rejects_unknown_format(tmp_path, small_results):
     with pytest.raises(ValidationError):
         emit(small_results, "yaml", str(tmp_path / "out"))
+
+
+def _reference_tables(results):
+    """The spectra and summary rows as the per-point writer built them."""
+    solved = [c for c in results if c.report is not None]
+    spectra = [(c.variant, c.fermi_ev, c.tau_ps, p.frequency / 1e9, p.s11_db,
+                p.input_resistance, p.input_reactance)
+               for c in solved for p in c.spectrum]
+    summary = [summary_row(c.variant, c.fermi_ev, c.tau_ps, c.report)
+               for c in solved]
+    return spectra, summary
+
+
+FAILED_ONLY = [SweepCellResult("metal", None, None, None, None, "failed")]
+
+
+@pytest.mark.parametrize("which", ["small", "failed_only"])
+def test_emit_matches_the_reference_writer(tmp_path, small_results, which):
+    results = small_results if which == "small" else FAILED_ONLY
+    spectra, summary = _reference_tables(results)
+    emit(results, "csv", str(tmp_path / "out"))
+    emit(results, "json", str(tmp_path / "out"))
+    assert (tmp_path / "out_spectra.csv").read_text() == \
+        format_table(SPECTRA_HEADER.split(","), spectra)
+    assert (tmp_path / "out_summary.csv").read_text() == \
+        format_table(SUMMARY_HEADER.split(","), summary)
+    doc = {"spectra": json_records(SPECTRA_HEADER.split(","), spectra),
+           "summary": json_records(SUMMARY_HEADER.split(","), summary)}
+    assert (tmp_path / "out.json").read_text() == \
+        json.dumps(doc, indent=2) + "\n"
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(-0.0)
+@example(5e-324)
+@example(2.2250738585072014e-308)
+@example(1e16)
+@example(1e-5)
+@example(1e300)
+@example(-1e300)
+@example(1.7976931348623157e308)
+@example(3.0)
+@example(-120.0)
+@example(123456789.0)
+@example(2.0 ** 53)
+def test_spectra_row_formatters_match_fmt9_and_json(value):
+    arrays = [np.array([value]) for _ in range(4)]
+    cell = SweepCellResult("graphene", 0.3, 1.2, None, Spectrum(*arrays),
+                           None)
+    p, = cell.spectrum
+    row = ("graphene", 0.3, 1.2, p.frequency / 1e9, p.s11_db,
+           p.input_resistance, p.input_reactance)
+    assert sweep._csv_spectra(cell) == ",".join(map(fmt9, row)) + "\n"
+    # json.dumps lays a one-object list out two spaces shallower than the
+    # objects of the sweep document's member lists.
+    listed = json.dumps(json_records(SPECTRA_HEADER.split(","), [row]),
+                        indent=2)
+    expected = "\n".join("  " + line for line in listed.splitlines()[1:-1])
+    assert sweep._json_spectra(cell) == expected
+
+
+@pytest.mark.parametrize("fmt, formatter, target", [
+    ("csv", "_csv_spectra", "out_spectra.csv"),
+    ("json", "_json_spectra", "out.json"),
+])
+def test_a_failed_emit_leaves_no_partial_file(tmp_path, monkeypatch,
+                                              small_results, fmt, formatter,
+                                              target):
+    real = getattr(sweep, formatter)
+    written = []
+
+    def fail_on_third_cell(cell):
+        if len(written) == 2:
+            raise RuntimeError("formatter failed")
+        written.append(cell)
+        return real(cell)
+
+    monkeypatch.setattr(sweep, formatter, fail_on_third_cell)
+    with pytest.raises(RuntimeError):
+        emit(small_results, fmt, str(tmp_path / "out"))
+    assert list(tmp_path.iterdir()) == []
+
+    # A file from an earlier run is left as it was.
+    (tmp_path / target).write_text("earlier run\n")
+    written.clear()
+    with pytest.raises(RuntimeError):
+        emit(small_results, fmt, str(tmp_path / "out"))
+    assert [p.name for p in tmp_path.iterdir()] == [target]
+    assert (tmp_path / target).read_text() == "earlier run\n"
+
+
+def test_sweep_computes_one_radiation_integral_per_resonance():
+    config = parse_config((ROOT / "paper.cfg").read_text())
+    mutual_conductance_ratio.cache_clear()
+    run_sweep(config)
+    # 4 Fermi levels give 4 graphene resonances; metal adds one.
+    assert mutual_conductance_ratio.cache_info().misses == 5
 
 
 def test_metal_summary_golden_row(tmp_path, paper_results):
@@ -239,6 +341,24 @@ def test_cli_fdtd_check(tmp_path, capsys):
     assert header == ("variant,fermi_eV,tau_ps,freq_GHz,r_real,r_imag,"
                       "t_real,t_imag,absorption")
     assert len(csv_path.read_text().splitlines()) == 1 + 11
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command, flag, value", [
+    ("analyze", "--band-lo", "0GHz"),
+    ("analyze", "--band-lo", "-10GHz"),
+    ("analyze", "--band-hi", "1e400GHz"),
+    ("fdtd-check", "--band-hi", "1e400GHz"),
+])
+def test_cli_band_outside_positive_finite_is_a_usage_error(capsys, command,
+                                                           flag, value):
+    args = [command, "--ef", "1.2eV", "--tau", "1.2ps", f"{flag}={value}"]
+    if command == "analyze":
+        args += ["--f0", "280GHz"]
+    assert cli_main(args) == 1
+    err = capsys.readouterr().err
+    assert "band must satisfy 0 < f_lo < f_hi" in err
+    assert "Traceback" not in err
 
 
 def test_cli_resize(capsys):
