@@ -27,7 +27,7 @@ from .materials import (FERMI_LEVEL_RANGE_EV, RELAXATION_RANGE_S,
                         drude_weight, kubo_sigma, mobility,
                         relaxation_from_mobility, sheet_impedance)
 from .patch import (PatchGeometry, SubstrateSpec, design_patch, f_res_metal,
-                    patch_for_target, patch_from_dimensions)
+                    patch_for_target)
 from .spp import (ConfinementCell, DielectricHalfspaces, SppSolution,
                   confinement_sweep, spp_wavenumber_asymmetric,
                   spp_wavenumber_symmetric)
@@ -92,7 +92,6 @@ __all__ = [
     "parse_quantity",
     "parse_quantity_list",
     "patch_for_target",
-    "patch_from_dimensions",
     "q_factors",
     "refinement_study",
     "relaxation_from_mobility",

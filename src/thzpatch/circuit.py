@@ -35,7 +35,7 @@ from scipy.integrate import quad
 from scipy.special import j0
 
 from .constants import CODATA2018
-from .errors import ValidationError, require_band, require_finite
+from .errors import ValidationError, require_band
 from .materials import GrapheneSheet, sheet_impedance
 from .patch import PatchGeometry, f_res_metal
 
@@ -47,36 +47,22 @@ S11_FLOOR_DB = -120.0
 
 @dataclass(frozen=True)
 class ConductorSpec:
-    """The patch conductor: bulk metal or a graphene sheet.
+    """The patch conductor: a graphene sheet, or aluminum when sheet is None.
 
-    Use the metal() / graphene() constructors. A metal spec carries its
-    bulk conductivity, a graphene spec its sheet, and nothing else.
+    Use the metal() / graphene() constructors.
     """
 
-    kind: str
-    bulk_conductivity: float | None = None
     sheet: GrapheneSheet | None = None
 
-    def __post_init__(self) -> None:
-        if self.kind == "metal":
-            if self.bulk_conductivity is None or self.sheet is not None:
-                raise ValidationError("metal conductor takes bulk_conductivity only")
-            require_finite(self, "bulk_conductivity")
-            if self.bulk_conductivity <= 0:
-                raise ValidationError("must be > 0", field="bulk_conductivity")
-        elif self.kind == "graphene":
-            if self.sheet is None or self.bulk_conductivity is not None:
-                raise ValidationError("graphene conductor takes a sheet only")
-        else:
-            raise ValidationError(f"unknown conductor kind {self.kind!r}")
-
     @classmethod
-    def metal(cls, bulk_conductivity: float = ALUMINUM_CONDUCTIVITY) -> "ConductorSpec":
-        return cls(kind="metal", bulk_conductivity=bulk_conductivity)
+    def metal(cls) -> "ConductorSpec":
+        return cls()
 
     @classmethod
     def graphene(cls, sheet: GrapheneSheet) -> "ConductorSpec":
-        return cls(kind="graphene", sheet=sheet)
+        if sheet is None:
+            raise ValidationError("graphene conductor needs a sheet")
+        return cls(sheet)
 
 
 @dataclass(frozen=True)
@@ -140,7 +126,7 @@ def graphene_resonance(geometry: PatchGeometry,
     by the kinetic-to-magnetic inductance ratio.
     """
     f_metal = f_res_metal(geometry)
-    if conductor.kind == "metal":
+    if conductor.sheet is None:
         return f_metal
     l_k = sheet_impedance(conductor.sheet).kinetic_inductance
     l_m = CODATA2018.vacuum_permeability * geometry.substrate.thickness
@@ -191,9 +177,9 @@ def q_factors(geometry: PatchGeometry, conductor: ConductorSpec,
 
     q_diel = 1.0 / geometry.substrate.loss_tangent
 
-    if conductor.kind == "metal":
+    if conductor.sheet is None:
         r_skin = math.sqrt(w * CODATA2018.vacuum_permeability
-                           / (2 * conductor.bulk_conductivity))
+                           / (2 * ALUMINUM_CONDUCTIVITY))
         q_cond = w * CODATA2018.vacuum_permeability * h / r_skin
     else:
         z = sheet_impedance(conductor.sheet)

@@ -269,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="time-domain vs analytic sheet scattering")
     _add_sheet_flags(p)
     p.add_argument("--resolution", type=int, default=200,
-                   help="cells per wavelength at 325 GHz")
+                   help="cells per wavelength at 325 GHz, 100 to 1600")
     _add_band_flags(p, points=106)
     _add_common(p)
     p.set_defaults(func=_cmd_fdtd_check)

@@ -177,27 +177,15 @@ def parse_quantity_list(text: str, dimension: str, key: str,
     return out
 
 
-_REQUIRED_KEYS = [
-    ("substrate", "rel_permittivity"),
-    ("substrate", "loss_tangent"),
-    ("substrate", "thickness"),
-    ("design", "frequency"),
-    ("sweep", "fermi_levels"),
-    ("sweep", "relaxation_times"),
-    ("sweep", "band"),
-    ("sweep", "points"),
-    ("sweep", "variants"),
-    ("output", "format"),
-    ("output", "path"),
-]
-
+# Every key of each section, in the order a missing one is reported.
 _KNOWN_KEYS = {
-    "substrate": {"rel_permittivity", "loss_tangent", "thickness"},
-    "design": {"frequency"},
-    "sweep": {"fermi_levels", "relaxation_times", "band", "points",
-              "variants", "temperature"},
-    "output": {"format", "path"},
+    "substrate": ("rel_permittivity", "loss_tangent", "thickness"),
+    "design": ("frequency",),
+    "sweep": ("fermi_levels", "relaxation_times", "band", "points",
+              "variants", "temperature"),
+    "output": ("format", "path"),
 }
+_OPTIONAL_KEY = ("sweep", "temperature")
 
 # Domain-type field -> the (section, key) that supplies it.
 _FIELD_KEYS = {
@@ -248,8 +236,10 @@ def parse_config(text: str) -> RunConfig:
     """Parse and validate a config; raises ConfigError/UnitError on problems."""
     pairs = _read_pairs(text)
 
-    for section, key in _REQUIRED_KEYS:
-        if (section, key) not in pairs:
+    for section, keys in _KNOWN_KEYS.items():
+        for key in keys:
+            if (section, key) in pairs or (section, key) == _OPTIONAL_KEY:
+                continue
             raise ConfigError(f"missing required key '{section}.{key}'")
 
     def get(section: str, key: str) -> tuple[str, int]:
@@ -283,7 +273,7 @@ def parse_config(text: str) -> RunConfig:
     val, ln = get("sweep", "relaxation_times")
     taus = parse_quantity_list(val, "time", "relaxation_times", ln)
     temperature = 300.0
-    if ("sweep", "temperature") in pairs:
+    if _OPTIONAL_KEY in pairs:
         val, ln = get("sweep", "temperature")
         temperature = parse_quantity(val, "temperature", "temperature", ln)
     try:

@@ -17,7 +17,7 @@ inductance lowers the resonance, comes back up to a target frequency.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .constants import CODATA2018
 from .errors import (BracketError, ConvergenceError, InfeasibleDesignError,
@@ -50,26 +50,28 @@ class SubstrateSpec:
 
 @dataclass(frozen=True)
 class PatchGeometry:
-    """A designed patch with its derived electrical quantities.
+    """A rectangular patch of the given width and length on a substrate.
 
-    eps_eff and fringing_extension are consistent with width and the
-    substrate; use patch_from_dimensions() rather than filling them by hand.
-    The substrate outline is twice the patch size in each direction.
+    eps_eff and fringing_extension follow from the width and the substrate
+    and are computed once, when the geometry is built. The substrate
+    outline is twice the patch size in each direction.
     """
 
     width: float
     length: float
     substrate: SubstrateSpec
-    eps_eff: float
-    fringing_extension: float
+    eps_eff: float = field(init=False)
+    fringing_extension: float = field(init=False)
 
     def __post_init__(self) -> None:
+        require_finite(self, "width", "length")
         if not (self.width > self.length > 0):
             raise ValidationError("expected width > length > 0")
-        if not (1 < self.eps_eff < self.substrate.rel_permittivity):
-            raise ValidationError("eps_eff must lie between 1 and rel_permittivity")
-        if self.fringing_extension <= 0:
-            raise ValidationError("fringing_extension must be > 0")
+        h = self.substrate.thickness
+        eps_eff = _eps_eff(self.substrate.rel_permittivity, h, self.width)
+        object.__setattr__(self, "eps_eff", eps_eff)
+        object.__setattr__(self, "fringing_extension",
+                           _fringing_extension(eps_eff, h, self.width))
 
     @property
     def substrate_width(self) -> float:
@@ -88,21 +90,6 @@ def _fringing_extension(eps_eff: float, h: float, width: float) -> float:
     w_h = width / h
     return 0.412 * h * (eps_eff + 0.3) * (w_h + 0.264) / (
         (eps_eff - 0.258) * (w_h + 0.8))
-
-
-def patch_from_dimensions(width: float, length: float,
-                          substrate: SubstrateSpec) -> PatchGeometry:
-    """Build a PatchGeometry from measured dimensions.
-
-    Derived quantities (effective permittivity, fringing extension) are
-    computed from width and the substrate.
-    """
-    if width <= 0 or length <= 0:
-        raise ValidationError("width and length must be > 0")
-    eps_eff = _eps_eff(substrate.rel_permittivity, substrate.thickness, width)
-    d_l = _fringing_extension(eps_eff, substrate.thickness, width)
-    return PatchGeometry(width=width, length=length, substrate=substrate,
-                         eps_eff=eps_eff, fringing_extension=d_l)
 
 
 def design_patch(target_frequency: float,
@@ -127,7 +114,7 @@ def design_patch(target_frequency: float,
         raise InfeasibleDesignError(
             f"fringing extension 2*{d_l:.4g} m exceeds the half wavelength; "
             "substrate is electrically too thick at this frequency")
-    return patch_from_dimensions(width, length, substrate)
+    return PatchGeometry(width, length, substrate)
 
 
 def f_res_metal(geometry: PatchGeometry) -> float:
@@ -157,7 +144,7 @@ def patch_for_target(target_frequency: float, substrate: SubstrateSpec,
     conductor = ConductorSpec.graphene(sheet)
 
     def resonance(length: float) -> float:
-        geom = patch_from_dimensions(metal.width, length, substrate)
+        geom = PatchGeometry(metal.width, length, substrate)
         return graphene_resonance(geom, conductor)
 
     lo, hi = metal.length / 2, metal.length
@@ -172,7 +159,7 @@ def patch_for_target(target_frequency: float, substrate: SubstrateSpec,
         mid = 0.5 * (lo + hi)
         f_mid = resonance(mid)
         if abs(f_mid - target_frequency) <= BISECTION_TOL_HZ:
-            return patch_from_dimensions(metal.width, mid, substrate)
+            return PatchGeometry(metal.width, mid, substrate)
         if f_mid > target_frequency:
             lo = mid
         else:

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .constants import CODATA2018
-from .errors import ConvergenceError, NoBoundModeError, ValidationError
+from .errors import (ConvergenceError, NoBoundModeError, ValidationError,
+                     require_finite)
 from .materials import GrapheneSheet, SheetConductivity, kubo_sigma
 
 NEWTON_MAX_ITER = 100
@@ -40,10 +41,10 @@ class DielectricHalfspaces:
     eps_below: float
 
     def __post_init__(self) -> None:
-        for name, val in (("eps_above", self.eps_above),
-                          ("eps_below", self.eps_below)):
-            if not (val >= 1.0 and val == val and val != float("inf")):
-                raise ValidationError(f"{name} must be finite and >= 1")
+        require_finite(self, "eps_above", "eps_below")
+        for name in ("eps_above", "eps_below"):
+            if getattr(self, name) < 1:
+                raise ValidationError("must be >= 1", field=name)
 
 
 @dataclass(frozen=True)

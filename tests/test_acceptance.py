@@ -15,10 +15,10 @@ import numpy as np
 import pytest
 
 import oracles
-from thzpatch import (ConductorSpec, GrapheneSheet, Grid1D, SubstrateSpec,
-                      cli_main, compare_fdtd_analytic, design_patch,
-                      f_res_metal, graphene_resonance, kubo_sigma, mobility,
-                      parse_config, patch_for_target, patch_from_dimensions,
+from thzpatch import (ConductorSpec, GrapheneSheet, Grid1D, PatchGeometry,
+                      SubstrateSpec, cli_main, compare_fdtd_analytic,
+                      design_patch, f_res_metal, graphene_resonance,
+                      kubo_sigma, mobility, parse_config, patch_for_target,
                       refinement_study, relaxation_from_mobility,
                       run_sheet_scattering, run_sweep,
                       spp_wavenumber_symmetric)
@@ -47,7 +47,7 @@ def designed():
 
 @pytest.fixture(scope="module")
 def published():
-    return patch_from_dimensions(355e-6, 262e-6, SUBSTRATE)
+    return PatchGeometry(355e-6, 262e-6, SUBSTRATE)
 
 
 @pytest.fixture(scope="module")

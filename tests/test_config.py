@@ -1,5 +1,6 @@
 """Config grammar: units, lists, ranges, and fail-fast validation."""
 
+import re
 from pathlib import Path
 
 import pytest
@@ -163,6 +164,24 @@ def test_empty_config_names_first_missing_key():
     with pytest.raises(ConfigError,
                        match=r"missing required key 'substrate.rel_permittivity'"):
         parse_config("")
+
+
+REQUIRED_KEYS = [
+    "substrate.rel_permittivity", "substrate.loss_tangent",
+    "substrate.thickness", "design.frequency", "sweep.fermi_levels",
+    "sweep.relaxation_times", "sweep.band", "sweep.points", "sweep.variants",
+    "output.format", "output.path",
+]
+
+
+@pytest.mark.parametrize("name", REQUIRED_KEYS)
+def test_missing_required_key_is_named(name):
+    key = name.split(".")[1]
+    lines = [ln for ln in GOOD.splitlines() if ln.split("=")[0].strip() != key]
+    assert len(lines) == len(GOOD.splitlines()) - 1
+    with pytest.raises(ConfigError,
+                       match=rf"^missing required key '{re.escape(name)}'$"):
+        parse_config("\n".join(lines))
 
 
 def test_section_and_key_errors_carry_line_numbers():

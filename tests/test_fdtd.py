@@ -9,6 +9,7 @@ from thzpatch import (GrapheneSheet, Grid1D, ValidationError,
                       analytic_sheet_coefficients, compare_fdtd_analytic,
                       refinement_study, run_drude_scattering,
                       run_sheet_scattering)
+from thzpatch.fdtd import COURANT_NUMBER, MAX_RESOLUTION
 
 BAND = (220e9, 325e9)
 SHEET = GrapheneSheet(1.2, 1.2e-12)
@@ -33,39 +34,29 @@ def test_resolution_layout_scales_with_resolution():
 
 
 def test_grid_validation():
-    with pytest.raises(ValidationError):
-        Grid1D.for_resolution(50)
-    ok = Grid1D.for_resolution(100)
-    with pytest.raises(ValidationError):
-        # coarser than lambda/100 at the top of the band
-        Grid1D(cell_size=ok.cell_size * 2, cell_count=ok.cell_count,
-               time_step=ok.time_step * 2, sheet_index=ok.sheet_index,
-               courant_number=ok.courant_number)
-    with pytest.raises(ValidationError):
-        Grid1D(cell_size=ok.cell_size, cell_count=ok.cell_count,
-               time_step=ok.time_step, sheet_index=ok.cell_count - 1,
-               courant_number=ok.courant_number)
-    with pytest.raises(ValidationError):
-        Grid1D(cell_size=ok.cell_size, cell_count=ok.cell_count,
-               time_step=ok.time_step * 1.5, sheet_index=ok.sheet_index,
-               courant_number=ok.courant_number)
-    with pytest.raises(ValidationError):
-        Grid1D(cell_size=ok.cell_size, cell_count=ok.cell_count,
-               time_step=ok.time_step / ok.courant_number * 1.2,
-               sheet_index=ok.sheet_index, courant_number=1.2)
+    for resolution in (50, 99, 1601, 10**8):
+        with pytest.raises(ValidationError,
+                           match=r"^resolution must be in \[100, 1600\]"):
+            Grid1D.for_resolution(resolution)
+    assert Grid1D.for_resolution(100) == Grid1D(100)
+    assert Grid1D(MAX_RESOLUTION).resolution == MAX_RESOLUTION
+    grid = Grid1D(150)
+    assert grid.time_step == pytest.approx(
+        COURANT_NUMBER * grid.cell_size / 299792458.0, rel=1e-15)
+    assert 0 < grid.sheet_index < grid.cell_count - 1
 
 
 @pytest.mark.parametrize("field", ["cell_size", "time_step",
                                    "courant_number"])
-@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_grid_rejects_non_finite(field, value):
-    ok = Grid1D.for_resolution(100)
-    fields = dict(cell_size=ok.cell_size, cell_count=ok.cell_count,
-                  time_step=ok.time_step, sheet_index=ok.sheet_index,
-                  courant_number=ok.courant_number)
-    fields[field] = value
-    with pytest.raises(ValidationError, match=f"{field} must be finite"):
-        Grid1D(**fields)
+    # The step sizes and the Courant number follow from the resolution, so a
+    # non-finite value reaches them only through a resolution, which is
+    # rejected; they cannot be passed in at all.
+    with pytest.raises(ValidationError, match="^resolution must be in"):
+        Grid1D(value)
+    with pytest.raises(TypeError):
+        Grid1D(resolution=100, **{field: value})
 
 
 def test_band_validation():

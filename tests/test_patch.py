@@ -3,6 +3,7 @@
 Reference values from tests/oracles.py.
 """
 
+import functools
 import math
 
 import pytest
@@ -10,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thzpatch import (BracketError, GrapheneSheet, InfeasibleDesignError,
-                      SubstrateSpec, ValidationError, design_patch,
-                      f_res_metal, graphene_resonance, patch_for_target,
-                      patch_from_dimensions)
+                      PatchGeometry, SubstrateSpec, ValidationError,
+                      design_patch, f_res_metal, graphene_resonance,
+                      patch_for_target)
 from thzpatch.circuit import ConductorSpec
 
 C0 = 299792458.0
@@ -42,7 +43,7 @@ def test_design_roundtrips_exactly_at_target(reference_design):
 
 
 def test_published_dimensions_resonate_in_band():
-    g = patch_from_dimensions(355e-6, 262e-6, REFERENCE_SUBSTRATE)
+    g = PatchGeometry(355e-6, 262e-6, REFERENCE_SUBSTRATE)
     assert f_res_metal(g) / 1e9 == pytest.approx(280.247827393, rel=1e-11)
 
 
@@ -89,15 +90,15 @@ def test_length_falls_with_frequency(freq):
 
 @given(width=st.floats(100e-6, 2000e-6))
 def test_eps_eff_grows_with_width(width):
-    g1 = patch_from_dimensions(width, width / 2, REFERENCE_SUBSTRATE)
-    g2 = patch_from_dimensions(width * 1.2, width / 2, REFERENCE_SUBSTRATE)
+    g1 = PatchGeometry(width, width / 2, REFERENCE_SUBSTRATE)
+    g2 = PatchGeometry(width * 1.2, width / 2, REFERENCE_SUBSTRATE)
     assert g2.eps_eff > g1.eps_eff
     assert 1 < g1.eps_eff < REFERENCE_SUBSTRATE.rel_permittivity
 
 
 def test_doubling_length_lowers_f_by_less_than_half():
-    g = patch_from_dimensions(900e-6, 200e-6, REFERENCE_SUBSTRATE)
-    doubled = patch_from_dimensions(g.width, 2 * g.length, g.substrate)
+    g = PatchGeometry(900e-6, 200e-6, REFERENCE_SUBSTRATE)
+    doubled = PatchGeometry(g.width, 2 * g.length, g.substrate)
     # The fringing term does not scale with L, so f(2L) > f(L)/2.
     assert f_res_metal(doubled) > f_res_metal(g) / 2
     assert f_res_metal(doubled) < f_res_metal(g)
@@ -157,7 +158,8 @@ FINITE_INPUTS = [
                      "thickness": 50e-6}),
     (GrapheneSheet, {"fermi_level": 0.6, "relaxation_time": 0.6e-12,
                      "temperature": 300.0}),
-    (ConductorSpec.metal, {"bulk_conductivity": 3.56e7}),
+    (functools.partial(PatchGeometry, substrate=REFERENCE_SUBSTRATE),
+     {"width": 355e-6, "length": 262e-6}),
 ]
 
 
@@ -174,9 +176,17 @@ def test_non_finite_inputs_are_rejected(build, valid, field, bad):
     assert info.value.field == field
 
 
-def test_patch_from_dimensions_validation():
+def test_patch_geometry_validation():
     with pytest.raises(ValidationError):
-        patch_from_dimensions(-355e-6, 262e-6, REFERENCE_SUBSTRATE)
+        PatchGeometry(-355e-6, 262e-6, REFERENCE_SUBSTRATE)
     with pytest.raises(ValidationError):
         # length must stay below width for the fundamental mode handled here
-        patch_from_dimensions(262e-6, 355e-6, REFERENCE_SUBSTRATE)
+        PatchGeometry(262e-6, 355e-6, REFERENCE_SUBSTRATE)
+
+
+def test_patch_geometry_derives_eps_eff_and_fringing(reference_design):
+    g = PatchGeometry(reference_design.width, reference_design.length,
+                      REFERENCE_SUBSTRATE)
+    assert g == reference_design  # eps_eff and fringing_extension included
+    with pytest.raises(TypeError):
+        PatchGeometry(355e-6, 262e-6, REFERENCE_SUBSTRATE, eps_eff=3.0)

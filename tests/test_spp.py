@@ -170,6 +170,19 @@ def test_asymmetric_solution_invariants(ef, tau_ps, ea, eb):
         assert kappa.real >= 0
 
 
+@pytest.mark.parametrize("field", ["eps_above", "eps_below"])
+@pytest.mark.parametrize("value, reason", [
+    (math.nan, "must be finite"), (math.inf, "must be finite"),
+    (-math.inf, "must be finite"), (0.5, "must be >= 1"),
+], ids=["nan", "inf", "-inf", "0.5"])
+def test_halfspaces_reject_bad_permittivity(field, value, reason):
+    valid = {"eps_above": 1.0, "eps_below": 3.5}
+    DielectricHalfspaces(**valid)
+    with pytest.raises(ValidationError, match=rf"^{field} {reason}$") as info:
+        DielectricHalfspaces(**{**valid, field: value})
+    assert info.value.field == field
+
+
 CONFINEMENT_VS_FERMI = {
     0.1: 1.23837511071,
     0.3: 1.02727494268,

@@ -343,6 +343,19 @@ def test_cli_fdtd_check(tmp_path, capsys):
     assert len(csv_path.read_text().splitlines()) == 1 + 11
 
 
+@pytest.mark.parametrize("resolution", ["0", "-5", "99", "1601",
+                                        "100000000"])
+def test_cli_fdtd_check_resolution_outside_range_is_a_usage_error(
+        capsys, resolution):
+    # Rejected when the grid is built, before anything is allocated.
+    code = cli_main(["fdtd-check", "--ef", "1.2eV", "--tau", "1.2ps",
+                     "--resolution", resolution])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "resolution must be in [100, 1600]" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("command, flag, value", [
     ("analyze", "--band-lo", "0GHz"),
