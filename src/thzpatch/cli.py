@@ -23,7 +23,7 @@ import math
 import sys
 from typing import Sequence
 
-from .circuit import ConductorSpec, gain_report
+from .circuit import ConductorSpec, gain_report, graphene_resonance
 from .config import parse_config, parse_quantity, parse_quantity_list
 from .errors import NumericalError, ValidationError
 from .fdtd import Grid1D, max_abs_error, run_sheet_scattering
@@ -180,7 +180,6 @@ def _cmd_resize(args: argparse.Namespace) -> int:
     f0 = parse_quantity(args.f0, "frequency", "--f0")
     metal = design_patch(f0, substrate)
     resized = patch_for_target(f0, substrate, sheet)
-    from .circuit import graphene_resonance
     f_check = graphene_resonance(resized, ConductorSpec.graphene(sheet))
     _emit(("W_um", "L_metal_um", "L_resized_um", "area_reduction_pct",
            "f_res_GHz", "note"),

@@ -52,6 +52,8 @@ _UNIT_TABLES: dict[str, dict[str, float]] = {
     "temperature": {"K": 1.0},
 }
 
+MAX_LIST_LENGTH = 10_000  # longest start:stop:step range; spp runs it in < 1 s
+
 _QUANTITY_RE = re.compile(r"^([-+]?[0-9.]+(?:[eE][-+]?[0-9]+)?)\s*([A-Za-zµ]*)$")
 
 
@@ -160,6 +162,9 @@ def parse_quantity_list(text: str, dimension: str, key: str,
             raise ConfigError(f"{_ctx(key, line)}: need step > 0 and "
                               f"stop >= start")
         count = int((stop - start) / step)
+        if count + 1 > MAX_LIST_LENGTH:
+            raise ConfigError(f"{_ctx(key, line)}: range has {count + 1} "
+                              f"entries, more than {MAX_LIST_LENGTH}")
         return [float(start + k * step) * scale for k in range(count + 1)]
 
     items = [item.strip() for item in text.split(",")]

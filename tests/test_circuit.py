@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from thzpatch import (ConductorSpec, GrapheneSheet, PatchGeometry, Spectrum,
                       SpectrumResult, SubstrateSpec, ValidationError,
                       bandwidth_minus10db, design_patch, directivity_dbi,
@@ -110,6 +111,18 @@ def test_resonance_grows_with_fermi_level(designed, fermi):
 def test_mutual_conductance_ratio(designed):
     g12 = mutual_conductance_ratio(designed, 280e9)
     assert g12 == pytest.approx(0.440992298965, rel=1e-7)
+
+
+@pytest.mark.parametrize("detune", [0.6, 1.0, 1.4])
+@pytest.mark.parametrize("thickness", [20e-6, 100e-6])
+@pytest.mark.parametrize("eps_r", [1.5, 3.5, 11.9])
+def test_mutual_conductance_ratio_matches_oracle(eps_r, thickness, detune):
+    geometry = design_patch(280e9, SubstrateSpec(eps_r, 0.0027, thickness))
+    f = detune * 280e9
+    exact = oracles.mutual_ratio(geometry.width, geometry.length,
+                                 geometry.fringing_extension, f)
+    assert mutual_conductance_ratio(geometry, f) == pytest.approx(
+        float(exact), rel=1e-12)
 
 
 def test_metal_q_chain(designed):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from thzpatch import (ConfigError, UnitError, ValidationError, parse_config,
                       parse_quantity, parse_quantity_list)
+from thzpatch.config import MAX_LIST_LENGTH
 
 GOOD = """\
 # reference setup
@@ -124,6 +125,15 @@ def test_range_shape_errors():
         parse_quantity_list("0.3:1.2:-0.3 eV", "energy", "ef")
     with pytest.raises(ConfigError, match=r"stop >= start"):
         parse_quantity_list("1.2:0.3:0.3 eV", "energy", "ef")
+
+
+def test_range_longer_than_the_cap_is_rejected():
+    at_cap = parse_quantity_list(f"1:{MAX_LIST_LENGTH}:1 GHz", "frequency", "f")
+    assert len(at_cap) == MAX_LIST_LENGTH
+    with pytest.raises(ConfigError, match=rf"line 7: key 'f': range has "
+                       rf"{MAX_LIST_LENGTH + 1} entries, more than "
+                       rf"{MAX_LIST_LENGTH}"):
+        parse_quantity_list(f"0:{MAX_LIST_LENGTH}:1 GHz", "frequency", "f", 7)
 
 
 # whole-file parsing

@@ -1,6 +1,9 @@
 """Sweep orchestration, serialization schemas, and the command line."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -248,6 +251,20 @@ def test_cli_design_json(capsys):
     assert doc["substrate_W_um"] == pytest.approx(2 * doc["W_um"], rel=1e-8)
 
 
+def test_cli_design_never_imports_scipy():
+    code = ("import sys\n"
+            "from thzpatch.cli import cli_main\n"
+            "assert cli_main(['design', '--f0', '280GHz']) == 0\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m == 'scipy' or m.startswith('scipy.')))\n")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": path})
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[]"
+
+
 @pytest.mark.parametrize("flag, value", [("--er", "inf"), ("--er", "nan"),
                                          ("--tand", "nan")])
 def test_cli_non_finite_substrate_is_a_usage_error(capsys, flag, value):
@@ -319,6 +336,17 @@ def test_cli_spp_non_finite_eps_is_a_usage_error(capsys, value):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert "eps must be finite and >= 1" in err
+
+
+def test_cli_spp_range_longer_than_the_cap_is_a_usage_error(capsys):
+    # Imported first: code without the cap would try to build ~9e11 floats.
+    from thzpatch.config import MAX_LIST_LENGTH
+    code = cli_main(["spp", "--ef", "1.2eV", "--tau", "1.2ps",
+                     "--f", "100GHz:1THz:1Hz"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"range has 900000000001 entries, more than {MAX_LIST_LENGTH}" in err
 
 
 def test_cli_spp_halfspace_flags_go_together(capsys):
