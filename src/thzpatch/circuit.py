@@ -16,10 +16,6 @@ Gauss-Legendre rule in theta, and J0 a 32-point midpoint rule on its
 periodic integral; they agree with adaptive quadrature to about 1e-14
 relative up to 5x the design frequency.
 
-A graphene patch resonates below the metal patch of the same dimensions
-because the sheet's kinetic inductance adds to the magnetic inductance of
-the patch line: f_graphene = f_metal / sqrt(1 + L_k / (mu0 h)).
-
 The feed is a fixed ideal transformer chosen once per geometry so that the
 metal variant is matched to the 50 ohm reference at its resonance; graphene
 variants then show up as mismatch, with shallower dips for lossier sheets.
@@ -38,7 +34,7 @@ import numpy as np
 from .constants import CODATA2018
 from .errors import ValidationError, require_band
 from .materials import GrapheneSheet, sheet_impedance
-from .patch import PatchGeometry, f_res_metal
+from .patch import PatchGeometry, f_res_metal, kinetic_pull
 
 ALUMINUM_CONDUCTIVITY = 3.56e7  # S/m
 
@@ -128,17 +124,12 @@ class AntennaReport:
 
 def graphene_resonance(geometry: PatchGeometry,
                        conductor: ConductorSpec) -> float:
-    """Resonance of the patch with its conductor loading, in Hz.
-
-    Metal returns the cavity resonance unchanged; graphene is pulled down
-    by the kinetic-to-magnetic inductance ratio.
-    """
+    """Resonance of the patch with its conductor, in Hz: the cavity
+    resonance, divided by the kinetic pull for a graphene sheet."""
     f_metal = f_res_metal(geometry)
     if conductor.sheet is None:
         return f_metal
-    l_k = sheet_impedance(conductor.sheet).kinetic_inductance
-    l_m = CODATA2018.vacuum_permeability * geometry.substrate.thickness
-    return f_metal / math.sqrt(1 + l_k / l_m)
+    return f_metal / kinetic_pull(conductor.sheet, geometry.substrate)
 
 
 def _cavity_capacitance(geometry: PatchGeometry) -> float:

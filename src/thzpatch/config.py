@@ -281,10 +281,12 @@ def parse_config(text: str) -> RunConfig:
     if _OPTIONAL_KEY in pairs:
         val, ln = get("sweep", "temperature")
         temperature = parse_quantity(val, "temperature", "temperature", ln)
+    # One sheet per value, failing first where the full (ef, tau) grid would.
     try:
-        for ef in fermi:
-            for tau_ps in taus:
-                GrapheneSheet(ef, tau_ps * 1e-12, temperature)
+        for tau_ps in taus:
+            GrapheneSheet(fermi[0], tau_ps * 1e-12, temperature)
+        for ef in fermi[1:]:
+            GrapheneSheet(ef, taus[0] * 1e-12, temperature)
     except ValidationError as exc:
         raise in_context(exc) from None
 

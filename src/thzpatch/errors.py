@@ -72,7 +72,7 @@ class NoBoundModeError(NumericalError):
 
 
 class BracketError(NumericalError):
-    """A bisection bracket does not contain the requested root."""
+    """The solution lies outside the interval the solver accepts."""
 
 
 class InstabilityError(NumericalError):

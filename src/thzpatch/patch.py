@@ -9,9 +9,10 @@ length extension, and resonant length
     dL    = 0.412 h (e_eff + 0.3)(W/h + 0.264) / ((e_eff - 0.258)(W/h + 0.8))
     L     = c / (2 f sqrt(e_eff)) - 2 dL
 
-plus the inverse (resonant frequency of a given geometry) and an inverse
-design that shrinks the length so a graphene patch, whose kinetic
-inductance lowers the resonance, comes back up to a target frequency.
+plus its inverse, the resonance of a given geometry. A graphene sheet's
+kinetic inductance L_k adds to the line's magnetic inductance mu0 h and
+divides the resonance by sqrt(1 + L_k / (mu0 h)); the inverse design keeps
+the metal width and solves for L at the target times that factor.
 """
 
 from __future__ import annotations
@@ -20,14 +21,11 @@ import math
 from dataclasses import dataclass, field
 
 from .constants import CODATA2018
-from .errors import (BracketError, ConvergenceError, InfeasibleDesignError,
-                     ValidationError, require_finite)
-from .materials import GrapheneSheet
+from .errors import (BracketError, InfeasibleDesignError, ValidationError,
+                     require_finite)
+from .materials import GrapheneSheet, sheet_impedance
 
 FREQUENCY_RANGE_HZ = (1e9, 10e12)
-
-BISECTION_MAX_ITER = 60
-BISECTION_TOL_HZ = 1e3
 
 
 @dataclass(frozen=True)
@@ -92,6 +90,18 @@ def _fringing_extension(eps_eff: float, h: float, width: float) -> float:
         (eps_eff - 0.258) * (w_h + 0.8))
 
 
+def _resonant_length(frequency: float, eps_eff: float,
+                     fringing_extension: float) -> float:
+    return (CODATA2018.light_speed / (2 * frequency * math.sqrt(eps_eff))
+            - 2 * fringing_extension)
+
+
+def kinetic_pull(sheet: GrapheneSheet, substrate: SubstrateSpec) -> float:
+    """The factor by which the sheet lowers the resonance of a patch."""
+    l_m = CODATA2018.vacuum_permeability * substrate.thickness
+    return math.sqrt(1 + sheet_impedance(sheet).kinetic_inductance / l_m)
+
+
 def design_patch(target_frequency: float,
                  substrate: SubstrateSpec) -> PatchGeometry:
     """Design a patch resonant at target_frequency (Hz) on the substrate.
@@ -109,7 +119,7 @@ def design_patch(target_frequency: float,
     width = c / (2 * target_frequency) * math.sqrt(2 / (eps_r + 1))
     eps_eff = _eps_eff(eps_r, substrate.thickness, width)
     d_l = _fringing_extension(eps_eff, substrate.thickness, width)
-    length = c / (2 * target_frequency * math.sqrt(eps_eff)) - 2 * d_l
+    length = _resonant_length(target_frequency, eps_eff, d_l)
     if length <= 0:
         raise InfeasibleDesignError(
             f"fringing extension 2*{d_l:.4g} m exceeds the half wavelength; "
@@ -128,9 +138,9 @@ def patch_for_target(target_frequency: float, substrate: SubstrateSpec,
                      sheet: GrapheneSheet) -> PatchGeometry:
     """Shrink the patch length so a graphene patch resonates at the target.
 
-    The width stays at the metal design value; the length is found by
-    bisection on [L_metal/2, L_metal] until the graphene resonance is
-    within 1 kHz of the target.
+    The width, and so eps_eff and dL, stay at the metal design values, and
+    the length solves the resonance equation in closed form. Raises
+    BracketError when it is shorter than half the metal length.
 
     The published reference design this toolkit was checked against
     reports a much shorter resized patch (220 um at 280 GHz, a 16 %
@@ -138,32 +148,14 @@ def patch_for_target(target_frequency: float, substrate: SubstrateSpec,
     reproduces that, and this function reports its own value (about
     246 um there) rather than tuning toward the reference.
     """
-    from .circuit import ConductorSpec, graphene_resonance
-
     metal = design_patch(target_frequency, substrate)
-    conductor = ConductorSpec.graphene(sheet)
-
-    def resonance(length: float) -> float:
-        geom = PatchGeometry(metal.width, length, substrate)
-        return graphene_resonance(geom, conductor)
-
-    lo, hi = metal.length / 2, metal.length
-    f_lo = resonance(lo)
-    if f_lo < target_frequency:
+    pull = kinetic_pull(sheet, substrate)
+    length = _resonant_length(target_frequency * pull, metal.eps_eff,
+                              metal.fringing_extension)
+    if length < metal.length / 2:
+        half = PatchGeometry(metal.width, metal.length / 2, substrate)
         raise BracketError(
             f"graphene resonance at half the metal length is "
-            f"{f_lo / 1e9:.3f} GHz, still below the "
+            f"{f_res_metal(half) / pull / 1e9:.3f} GHz, still below the "
             f"{target_frequency / 1e9:.3f} GHz target")
-    # Resonance decreases with length: f(lo) >= target >= f(hi).
-    for _ in range(BISECTION_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        f_mid = resonance(mid)
-        if abs(f_mid - target_frequency) <= BISECTION_TOL_HZ:
-            return PatchGeometry(metal.width, mid, substrate)
-        if f_mid > target_frequency:
-            lo = mid
-        else:
-            hi = mid
-    raise ConvergenceError(
-        f"bisection did not reach {BISECTION_TOL_HZ:.0f} Hz tolerance "
-        f"in {BISECTION_MAX_ITER} iterations")
+    return PatchGeometry(metal.width, length, substrate)

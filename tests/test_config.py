@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from thzpatch import (ConfigError, UnitError, ValidationError, parse_config,
-                      parse_quantity, parse_quantity_list)
+import thzpatch.config as config
+from thzpatch import (ConfigError, GrapheneSheet, UnitError, ValidationError,
+                      parse_config, parse_quantity, parse_quantity_list)
 from thzpatch.config import MAX_LIST_LENGTH
 
 GOOD = """\
@@ -258,9 +259,29 @@ def test_domain_bounds_carry_key_and_line():
     # the bounds live in SubstrateSpec/GrapheneSheet; the config adds context
     with pytest.raises(ConfigError, match=r"^line 12: key 'relaxation_times': "):
         parse_config(_with({"relaxation_times": "0.3, 9 ps"}))
+    with pytest.raises(ConfigError, match=r"^line 11: key 'fermi_levels': "):
+        parse_config(_with({"fermi_levels": "0.3, 0.6, 3.0 eV"}))
     with pytest.raises(ConfigError,
                        match=r"^line 16: key 'temperature': must be > 0 K$"):
         parse_config(_with({"temperature": "0 K"}))
+
+
+def test_sheet_values_are_validated_once_each(monkeypatch):
+    built = []
+
+    def counting_sheet(*args):
+        built.append(args)
+        return GrapheneSheet(*args)
+
+    monkeypatch.setattr(config, "GrapheneSheet", counting_sheet)
+    cfg = parse_config(_with({"fermi_levels": "0.1:1.5:0.1 eV",
+                              "relaxation_times": "0.1:3.0:0.1 ps"}))
+    n, m = len(cfg.sweep.fermi_levels), len(cfg.sweep.relaxation_times)
+    assert (n, m) == (15, 30)
+    assert len(built) <= n + m
+    assert sorted({ef for ef, _, _ in built}) == cfg.sweep.fermi_levels
+    assert sorted({tau for _, tau, _ in built}) == pytest.approx(
+        [tau_ps * 1e-12 for tau_ps in cfg.sweep.relaxation_times])
 
 
 def test_pads_section_is_unknown():

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from thzpatch import (BracketError, GrapheneSheet, InfeasibleDesignError,
                       PatchGeometry, SubstrateSpec, ValidationError,
                       design_patch, f_res_metal, graphene_resonance,
@@ -127,13 +128,40 @@ def test_inverse_design_reference_values(reference_design):
     assert abs(f_check - 280e9) <= 1e3
 
 
-@given(ef=st.floats(0.3, 2.0), tau_ps=st.floats(0.05, 5.0))
-@settings(max_examples=25, deadline=None)
-def test_inverse_design_always_shrinks(ef, tau_ps):
+@pytest.mark.parametrize("f0", [150e9, 280e9, 600e9],
+                         ids=["150GHz", "280GHz", "600GHz"])
+@pytest.mark.parametrize("ef", [0.2, 0.6, 1.5])
+def test_inverse_design_matches_oracle(ef, f0):
+    sheet = GrapheneSheet(ef, 1.0e-12)
+    conductor = ConductorSpec.graphene(sheet)
+    for eps_r in (2.2, 3.5, 11.9):
+        for h in (20e-6, 50e-6):
+            substrate = SubstrateSpec(eps_r, 0.001, h)
+            metal = design_patch(f0, substrate)
+            resized = patch_for_target(f0, substrate, sheet)
+            expected = oracles.inverse_length(f0, metal.width, eps_r, h, ef,
+                                              metal.length)
+            assert resized.length == pytest.approx(float(expected), rel=1e-12)
+            assert graphene_resonance(resized, conductor) == pytest.approx(
+                f0, rel=1e-12)
+
+
+@given(ef=st.floats(0.05, 2.0), tau_ps=st.floats(0.05, 5.0),
+       f0=st.floats(150e9, 600e9))
+@settings(max_examples=40, deadline=None)
+def test_inverse_design_always_shrinks(ef, tau_ps, f0):
+    # Either the patch shrinks by at most half, or even the half-length
+    # patch resonates below the target and the design is refused.
     sheet = GrapheneSheet(ef, tau_ps * 1e-12)
-    metal = design_patch(280e9, REFERENCE_SUBSTRATE)
-    resized = patch_for_target(280e9, REFERENCE_SUBSTRATE, sheet)
-    assert resized.length < metal.length
+    metal = design_patch(f0, REFERENCE_SUBSTRATE)
+    try:
+        resized = patch_for_target(f0, REFERENCE_SUBSTRATE, sheet)
+    except BracketError:
+        half = PatchGeometry(metal.width, metal.length / 2,
+                             REFERENCE_SUBSTRATE)
+        assert graphene_resonance(half, ConductorSpec.graphene(sheet)) < f0
+    else:
+        assert metal.length / 2 <= resized.length < metal.length
 
 
 def test_inverse_design_bracket_failure():

@@ -413,6 +413,20 @@ def test_cli_resize(capsys):
     assert "note" in values
 
 
+def test_cli_resize_infeasible_target_is_a_numerical_failure(capsys):
+    # At 0.05 eV even the half-length patch resonates below 280 GHz.
+    code = cli_main(["resize", "--f0", "280GHz", "--ef", "0.05eV",
+                     "--tau", "1.2ps"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ")
+    assert "280.000 GHz target" in lines[0]
+
+
 def test_cli_sweep_runs_config(tmp_path, capsys):
     out_base = tmp_path / "run"
     cfg = SMALL_CONFIG.replace("path = out", f"path = {out_base}")
