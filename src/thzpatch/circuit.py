@@ -32,7 +32,8 @@ from typing import Iterator
 import numpy as np
 
 from .constants import CODATA2018
-from .errors import ValidationError, require_band
+from .errors import (ValidationError, require_band, require_frequency,
+                     require_points)
 from .materials import GrapheneSheet, sheet_impedance
 from .patch import PatchGeometry, f_res_metal, kinetic_pull
 
@@ -160,8 +161,7 @@ def mutual_conductance_ratio(geometry: PatchGeometry,
 def q_factors(geometry: PatchGeometry, conductor: ConductorSpec,
               frequency: float) -> QFactors:
     """Radiation, conductor, and dielectric Q at the given frequency."""
-    if frequency <= 0:
-        raise ValidationError("frequency must be > 0")
+    require_frequency(frequency, "frequency")
     w = 2 * math.pi * frequency
     h = geometry.substrate.thickness
     lam0 = CODATA2018.light_speed / frequency
@@ -207,8 +207,7 @@ def s11_spectrum(geometry: PatchGeometry, conductor: ConductorSpec,
                  band: tuple[float, float], points: int) -> Spectrum:
     """Reflection response over the band against the 50 ohm reference."""
     require_band(band)
-    if points < 2:
-        raise ValidationError("points must be >= 2")
+    require_points(points)
     f_res, q, r_peak = _resonator_parameters(geometry, conductor)
     n_sq = _transformer_ratio(geometry)
 

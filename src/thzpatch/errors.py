@@ -36,6 +36,25 @@ def require_finite(obj: object, *fields: str) -> None:
             raise ValidationError("must be finite", field=name)
 
 
+def require_frequency(value: float, field: str) -> None:
+    """Reject a frequency unless it is finite and > 0."""
+    if not (0 < value < math.inf):
+        raise ValidationError("must be finite and > 0", field=field)
+
+
+# Samples per spectrum. fdtd-check costs most per sample: at tau 5 ps and
+# resolution 400, 1000 samples take 2.4 s of CPU and 416 MiB peak (Python
+# 3.11, one core of a 2-vCPU VM), and about 4x that at resolution 1600.
+MAX_POINTS = 1000
+
+
+def require_points(points: int) -> None:
+    """Reject a spectrum sample count outside [2, MAX_POINTS]."""
+    if not 2 <= points <= MAX_POINTS:
+        raise ValidationError(f"must be >= 2 and <= {MAX_POINTS}",
+                              field="points")
+
+
 def require_band(band: tuple[float, float]) -> None:
     """Reject a frequency band unless it is finite with 0 < f_lo < f_hi."""
     f_lo, f_hi = band
@@ -60,7 +79,7 @@ class NumericalError(ThzPatchError):
 
 
 class ConvergenceError(NumericalError):
-    """Iteration budget exhausted before reaching the residual target."""
+    """A solved root misses its residual target by last_residual."""
 
     def __init__(self, message: str, last_residual: float | None = None):
         super().__init__(message)

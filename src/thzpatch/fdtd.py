@@ -34,7 +34,8 @@ from typing import Sequence
 import numpy as np
 
 from .constants import CODATA2018
-from .errors import InstabilityError, ValidationError, require_band
+from .errors import (InstabilityError, ValidationError, require_band,
+                     require_points)
 from .materials import GrapheneSheet, drude_weight, kubo_sigma
 
 DESIGN_F_MAX = 325e9            # resolution counts cells per wavelength here
@@ -183,10 +184,9 @@ def run_drude_scattering(drude_a: float, tau: float, grid: Grid1D,
     drude_a = 0 runs the vacuum check: the sheet update still executes but
     drives nothing, so r should vanish and t should be 1 to round-off.
     """
-    if drude_a < 0 or tau <= 0:
-        raise ValidationError("need drude_a >= 0 and tau > 0")
-    if points < 2:
-        raise ValidationError("points must be >= 2")
+    if not (0 <= drude_a < math.inf and 0 < tau < math.inf):
+        raise ValidationError("need finite drude_a >= 0 and tau > 0")
+    require_points(points)
     _validate_band(band)
     freqs = np.linspace(band[0], band[1], points)
 

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 from .constants import CODATA2018
-from .errors import ValidationError, require_finite
+from .errors import ValidationError, require_finite, require_frequency
 
 FERMI_LEVEL_RANGE_EV = (0.05, 2.0)
 RELAXATION_RANGE_S = (0.05e-12, 5.0e-12)
@@ -62,6 +62,9 @@ class SheetConductivity:
 
     real_part: float
     imag_part: float
+
+    def __post_init__(self) -> None:
+        require_finite(self, "real_part", "imag_part")
 
     @property
     def value(self) -> complex:
@@ -104,8 +107,7 @@ def drude_weight(sheet: GrapheneSheet) -> float:
 def kubo_sigma(sheet: GrapheneSheet,
                angular_frequency: float) -> SheetConductivity:
     """Intraband surface conductivity at angular frequency w (rad/s)."""
-    if angular_frequency <= 0:
-        raise ValidationError("angular_frequency must be > 0")
+    require_frequency(angular_frequency, "angular_frequency")
     a = drude_weight(sheet)
     sigma = a * 1j / (angular_frequency + 1j / sheet.relaxation_time)
     return SheetConductivity(sigma.real, sigma.imag)

@@ -7,29 +7,31 @@ Two solvers are provided:
 
 * a closed form for the symmetric environment (same permittivity both
   sides), q = k0 sqrt(eps) sqrt(1 - (2 sqrt(eps) / (eta0 sigma))^2);
-* a damped complex Newton iteration for the general asymmetric relation
+* every mode of the general asymmetric relation
 
       eps_a / kappa_a + eps_b / kappa_b = -i sigma / (w eps0),
 
-  with kappa_i = sqrt(q^2 - eps_i k0^2) on the Re >= 0 branch.
+  with kappa_i = sqrt(q^2 - eps_i k0^2) on the Re >= 0 branch, from the
+  four roots of the quartic that squaring it gives.
 
-Both report the wavenumber together with derived confinement and loss
-metrics. A sheet that is too conductive or too lossy to bind a mode raises
+A mode is bound only above the light line of the denser half-space; below
+it the wave leaks into that half-space (Hanson, J. Appl. Phys. 103, 064302,
+2008). A sheet that is too conductive or too lossy to bind a mode raises
 NoBoundModeError; sweeps record that per cell instead of aborting.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .constants import CODATA2018
 from .errors import (ConvergenceError, NoBoundModeError, ValidationError,
-                     require_finite)
+                     require_finite, require_frequency)
 from .materials import GrapheneSheet, SheetConductivity, kubo_sigma
 
-NEWTON_MAX_ITER = 100
 NEWTON_REL_RESIDUAL = 1e-10
 
 
@@ -63,26 +65,20 @@ class SppSolution:
     propagation_length: float
 
 
+def _bound_mode(roots: Iterable[complex], k0: float, eps: float) -> complex:
+    """The root that, taken with Im q >= 0, lies above k0 sqrt(eps)."""
+    light_line = k0 * math.sqrt(eps)
+    for q in roots:
+        q = q if q.imag >= 0 else -q
+        if q.real >= light_line:
+            return q
+    raise NoBoundModeError(f"no Re q exceeds k0*sqrt(eps) = {light_line:.6g} "
+                           "rad/m; sheet does not bind a TM mode here")
+
+
 def _solution_from_q(q: complex, k0: float) -> SppSolution:
-    re_q = q.real
-    im_q = q.imag
-    return SppSolution(
-        wavenumber=q,
-        free_space_wavenumber=k0,
-        confinement_ratio=re_q / k0,
-        spp_wavelength=2 * cmath.pi / re_q,
-        propagation_length=(1.0 / (2 * im_q)) if im_q > 0 else float("inf"),
-    )
-
-
-def _symmetric_q(sigma: complex, eps: float,
-                 angular_frequency: float) -> complex:
-    k0 = angular_frequency / CODATA2018.light_speed
-    ratio = 2 * cmath.sqrt(eps) / (CODATA2018.free_space_impedance * sigma)
-    q = k0 * cmath.sqrt(eps) * cmath.sqrt(1 - ratio * ratio)
-    if q.imag < 0:
-        q = -q
-    return q
+    return SppSolution(q, k0, q.real / k0, 2 * math.pi / q.real,
+                       1 / (2 * q.imag) if q.imag > 0 else math.inf)
 
 
 def spp_wavenumber_symmetric(sigma: SheetConductivity, eps: float,
@@ -95,16 +91,22 @@ def spp_wavenumber_symmetric(sigma: SheetConductivity, eps: float,
     """
     if not (cmath.isfinite(eps) and eps >= 1.0):
         raise ValidationError("eps must be finite and >= 1")
-    if angular_frequency <= 0:
-        raise ValidationError("angular_frequency must be > 0")
+    require_frequency(angular_frequency, "angular_frequency")
+    if sigma.value == 0:
+        raise NoBoundModeError("a sheet of zero conductivity binds no mode")
     k0 = angular_frequency / CODATA2018.light_speed
-    q = _symmetric_q(sigma.value, eps, angular_frequency)
-    light_line = k0 * cmath.sqrt(eps).real
-    if q.real < light_line:
-        raise NoBoundModeError(
-            f"Re q = {q.real:.6g} rad/m does not exceed k0*sqrt(eps) = "
-            f"{light_line:.6g} rad/m; sheet does not bind a TM mode here")
-    return _solution_from_q(q, k0)
+    ratio = 2 * cmath.sqrt(eps) / (CODATA2018.free_space_impedance
+                                   * sigma.value)
+    q = k0 * cmath.sqrt(eps) * cmath.sqrt(1 - ratio * ratio)
+    return _solution_from_q(_bound_mode([q], k0, eps), k0)
+
+
+def _relation(q: complex, k0: float, ea: float,
+              eb: float) -> tuple[complex, complex]:
+    """eps_a/kappa_a + eps_b/kappa_b at q, and its derivative in q."""
+    ka = cmath.sqrt(q * q - ea * k0 * k0)
+    kb = cmath.sqrt(q * q - eb * k0 * k0)
+    return ea / ka + eb / kb, -q * (ea / ka**3 + eb / kb**3)
 
 
 def spp_wavenumber_asymmetric(sigma: SheetConductivity,
@@ -112,58 +114,41 @@ def spp_wavenumber_asymmetric(sigma: SheetConductivity,
                               angular_frequency: float) -> SppSolution:
     """TM mode of a sheet between two different dielectrics.
 
-    Solves eps_a/kappa_a + eps_b/kappa_b = -i sigma/(w eps0) by damped
-    Newton iteration, seeded from the symmetric closed form at the mean
-    permittivity. Residuals are measured relative to the driving term
-    |sigma/(w eps0)|; convergence target 1e-10.
+    In u = kappa_a/k0 and r = -i sigma k0/(w eps0) = -i sigma/(c eps0) the
+    relation reads eps_a/u + eps_b/v = r, so v = kappa_b/k0 =
+    eps_b u/(r u - eps_a); with v^2 = u^2 + eps_a - eps_b it becomes the
+    quartic (u^2 + eps_a - eps_b)(r u - eps_a)^2 = eps_b^2 u^2. Its roots
+    with Re u > 0 and Re v > 0 are the modes; the bound one gets two
+    Newton steps in q, and a relative residual left at NEWTON_REL_RESIDUAL
+    or above raises ConvergenceError.
     """
-    if angular_frequency <= 0:
-        raise ValidationError("angular_frequency must be > 0")
-    w = angular_frequency
-    k0 = w / CODATA2018.light_speed
+    # Imported here so that importing this module does not load numpy.
+    import numpy as np
+
+    require_frequency(angular_frequency, "angular_frequency")
+    k0 = angular_frequency / CODATA2018.light_speed
     ea, eb = halfspaces.eps_above, halfspaces.eps_below
-    rhs = -1j * sigma.value / (w * CODATA2018.vacuum_permittivity)
-    scale = abs(rhs)
-
-    def residual_and_derivative(q: complex) -> tuple[complex, complex]:
-        ka = cmath.sqrt(q * q - ea * k0 * k0)
-        kb = cmath.sqrt(q * q - eb * k0 * k0)
-        f = ea / ka + eb / kb - rhs
-        df = -q * (ea / ka**3 + eb / kb**3)
-        return f, df
-
-    q = _symmetric_q(sigma.value, 0.5 * (ea + eb), w)
-    f, df = residual_and_derivative(q)
-    for _ in range(NEWTON_MAX_ITER):
-        if abs(f) / scale < NEWTON_REL_RESIDUAL:
-            break
-        step = -f / df
-        # Halve the step while it does not reduce the residual.
-        for _ in range(30):
-            f_new, df_new = residual_and_derivative(q + step)
-            if abs(f_new) < abs(f):
-                break
-            step *= 0.5
-        else:
-            raise ConvergenceError(
-                "Newton step stalled; last relative residual "
-                f"{abs(f) / scale:.3e}", last_residual=abs(f) / scale)
-        q = q + step
-        f, df = f_new, df_new
-    else:
-        raise ConvergenceError(
-            f"no convergence in {NEWTON_MAX_ITER} iterations; last relative "
-            f"residual {abs(f) / scale:.3e}", last_residual=abs(f) / scale)
-
-    # kappa depends on q^2 only, so q and -q are both roots; report the
-    # decaying one.
-    if q.imag < 0 or (q.imag == 0 and q.real < 0):
-        q = -q
-    light_line = k0 * min(ea, eb) ** 0.5
-    if q.real < light_line:
-        raise NoBoundModeError(
-            f"Re q = {q.real:.6g} rad/m below the lighter half-space light "
-            f"line {light_line:.6g} rad/m; no bound TM mode")
+    r = -1j * sigma.value / (CODATA2018.light_speed
+                             * CODATA2018.vacuum_permittivity)
+    rhs, d = r / k0, ea - eb
+    coeffs = [r * r, -2 * r * ea, ea * ea + d * r * r - eb * eb,
+              -2 * r * ea * d, d * ea * ea]
+    if not 0 < abs(coeffs[0]) < math.inf:  # sigma = 0, or r^2 out of range
+        raise NoBoundModeError(f"sigma = {sigma.value:.3g} S binds no mode")
+    # As np.roots does it (companion matrix eigenvalues), minus its overhead.
+    companion = np.eye(4, k=-1, dtype=complex)
+    companion[0] = [-c / coeffs[0] for c in coeffs[1:]]
+    roots = np.linalg.eigvals(companion).tolist()
+    modes = [k0 * cmath.sqrt(u * u + ea) for u in roots
+             if u.real > 0 and (eb * u / (r * u - ea)).real > 0]
+    q = _bound_mode(modes, k0, max(ea, eb))
+    for _ in range(2):
+        lhs, slope = _relation(q, k0, ea, eb)
+        q -= (lhs - rhs) / slope
+    residual = abs(_relation(q, k0, ea, eb)[0] - rhs) / abs(rhs)
+    if not residual < NEWTON_REL_RESIDUAL:
+        raise ConvergenceError(f"polished mode has relative residual "
+                               f"{residual:.3e}", last_residual=residual)
     return _solution_from_q(q, k0)
 
 

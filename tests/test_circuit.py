@@ -16,6 +16,7 @@ from thzpatch import (ConductorSpec, GrapheneSheet, PatchGeometry, Spectrum,
                       bandwidth_minus10db, design_patch, directivity_dbi,
                       evaluate, f_res_metal, gain_report, graphene_resonance,
                       mutual_conductance_ratio, q_factors, s11_spectrum)
+from thzpatch.errors import MAX_POINTS
 
 BAND = (220e9, 325e9)
 POINTS = 211
@@ -264,6 +265,18 @@ def test_spectrum_input_validation(designed):
         s11_spectrum(designed, ConductorSpec.metal(), (325e9, 220e9), POINTS)
     with pytest.raises(ValidationError):
         s11_spectrum(designed, ConductorSpec.metal(), BAND, 1)
+    with pytest.raises(ValidationError, match=f"<= {MAX_POINTS}$"):
+        s11_spectrum(designed, ConductorSpec.metal(), BAND, MAX_POINTS + 1)
+    assert len(s11_spectrum(designed, ConductorSpec.metal(), BAND,
+                            MAX_POINTS)) == MAX_POINTS
+
+
+@pytest.mark.parametrize("frequency", [0.0, -280e9, math.nan, math.inf])
+def test_q_factors_reject_a_frequency_outside_positive_finite(designed,
+                                                              frequency):
+    with pytest.raises(ValidationError,
+                       match="^frequency must be finite and > 0$"):
+        q_factors(designed, ConductorSpec.metal(), frequency)
 
 
 @pytest.mark.parametrize("band", [(0.0, 325e9), (-1e9, 325e9),

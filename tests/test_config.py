@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 import thzpatch.config as config
 from thzpatch import (ConfigError, GrapheneSheet, UnitError, ValidationError,
                       parse_config, parse_quantity, parse_quantity_list)
-from thzpatch.config import MAX_LIST_LENGTH
+from thzpatch.config import MAX_LIST_LENGTH, MAX_SWEEP_SAMPLES
+from thzpatch.errors import MAX_POINTS
 
 GOOD = """\
 # reference setup
@@ -264,6 +265,36 @@ def test_domain_bounds_carry_key_and_line():
     with pytest.raises(ConfigError,
                        match=r"^line 16: key 'temperature': must be > 0 K$"):
         parse_config(_with({"temperature": "0 K"}))
+
+
+def test_points_above_the_cap_name_key_and_line():
+    parse_config(_with({"points": str(MAX_POINTS)}))
+    with pytest.raises(ConfigError,
+                       match=rf"^line 14: key 'points': must be >= 2 and "
+                             rf"<= {MAX_POINTS}$"):
+        parse_config(_with({"points": str(MAX_POINTS + 1)}))
+    with pytest.raises(ConfigError, match=r"^line 14: key 'points': "):
+        parse_config(_with({"points": "1000000000"}))
+
+
+def test_sweep_samples_are_capped_at_parse_time():
+    # 500 Fermi levels x 1 relaxation time x 1000 points is the cap exactly;
+    # the metal cell adds one cell too many. Nothing is swept.
+    assert MAX_SWEEP_SAMPLES == 500 * MAX_POINTS
+    grid = {"fermi_levels": "0.1:0.599:0.001 eV", "relaxation_times": "1 ps",
+            "points": str(MAX_POINTS)}
+    cfg = parse_config(_with({**grid, "variants": "graphene"}))
+    assert len(cfg.sweep.fermi_levels) == 500
+    with pytest.raises(ConfigError,
+                       match=rf"^line 14: key 'points': 501 cells x "
+                             rf"{MAX_POINTS} points exceed "
+                             rf"{MAX_SWEEP_SAMPLES} samples$"):
+        parse_config(_with({**grid, "variants": "metal, graphene"}))
+    # A 9,751 x 991 grid is about 10^7 cells, too many at the fewest points.
+    with pytest.raises(ConfigError, match=r": 9663242 cells x 2 points"):
+        parse_config(_with({"fermi_levels": "0.05:2.0:0.0002 eV",
+                            "relaxation_times": "0.05:5:0.005 ps",
+                            "points": "2"}))
 
 
 def test_sheet_values_are_validated_once_each(monkeypatch):

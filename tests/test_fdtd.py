@@ -1,5 +1,7 @@
 """1-D FDTD cross-check of the thin-sheet scattering model."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from thzpatch import (GrapheneSheet, Grid1D, ValidationError,
                       analytic_sheet_coefficients, compare_fdtd_analytic,
                       refinement_study, run_drude_scattering,
                       run_sheet_scattering)
+from thzpatch.errors import MAX_POINTS
 from thzpatch.fdtd import COURANT_NUMBER, MAX_RESOLUTION
 
 BAND = (220e9, 325e9)
@@ -68,8 +71,13 @@ def test_band_validation():
         run_sheet_scattering(SHEET, grid, (1e9, 325e9))
     with pytest.raises(ValidationError):
         run_sheet_scattering(SHEET, grid, BAND, points=1)
-    with pytest.raises(ValidationError):
-        run_drude_scattering(-1.0, 1e-12, grid, BAND)
+    # Rejected before the grid is marched or the DFT kernel is built.
+    with pytest.raises(ValidationError, match=f"<= {MAX_POINTS}$"):
+        run_sheet_scattering(SHEET, grid, BAND, points=MAX_POINTS + 1)
+    for drude_a, tau in ((-1.0, 1e-12), (math.nan, 1e-12), (math.inf, 1e-12),
+                         (1e12, math.nan), (1e12, math.inf)):
+        with pytest.raises(ValidationError, match="need finite drude_a"):
+            run_drude_scattering(drude_a, tau, grid, BAND)
 
 
 def test_vacuum_run_is_exact():

@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thzpatch import (CODATA2018, FERMI_LEVEL_RANGE_EV, RELAXATION_RANGE_S,
-                      GrapheneSheet, SheetImpedance, ValidationError,
-                      drude_weight, kubo_sigma, mobility,
+                      GrapheneSheet, SheetConductivity, SheetImpedance,
+                      ValidationError, drude_weight, kubo_sigma, mobility,
                       relaxation_from_mobility, sheet_impedance)
 
 W_280 = 2 * math.pi * 280e9
@@ -133,6 +133,21 @@ def test_kubo_sigma_rejects_nonpositive_frequency():
         kubo_sigma(sheet, 0.0)
     with pytest.raises(ValidationError):
         kubo_sigma(sheet, -W_280)
+
+
+@pytest.mark.parametrize("w", [math.nan, math.inf])
+def test_kubo_sigma_rejects_non_finite_frequency(w):
+    with pytest.raises(ValidationError,
+                       match="angular_frequency must be finite and > 0"):
+        kubo_sigma(GrapheneSheet(0.6, 0.6e-12), w)
+
+
+@pytest.mark.parametrize("field", ["real_part", "imag_part"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_conductivity_rejects_non_finite_parts(field, value):
+    parts = {"real_part": 1e-3, "imag_part": 1e-3, field: value}
+    with pytest.raises(ValidationError, match=f"^{field} must be finite$"):
+        SheetConductivity(**parts)
 
 
 @pytest.mark.parametrize("key,expected", sorted(IMPEDANCES.items()))

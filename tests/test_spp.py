@@ -11,9 +11,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from thzpatch import (ConvergenceError, DielectricHalfspaces, GrapheneSheet,
-                      NoBoundModeError, SheetConductivity, ValidationError,
-                      confinement_sweep, kubo_sigma, spp_wavenumber_asymmetric,
+from thzpatch import (DielectricHalfspaces, GrapheneSheet, NoBoundModeError,
+                      SheetConductivity, ValidationError, confinement_sweep,
+                      kubo_sigma, spp_wavenumber_asymmetric,
                       spp_wavenumber_symmetric)
 
 C0 = 299792458.0
@@ -159,7 +159,7 @@ def test_asymmetric_solution_invariants(ef, tau_ps, ea, eb):
     try:
         sol = spp_wavenumber_asymmetric(sigma, DielectricHalfspaces(ea, eb),
                                         W_280)
-    except (NoBoundModeError, ConvergenceError):
+    except NoBoundModeError:
         assume(False)
     q = sol.wavenumber
     assert q.imag >= 0
@@ -168,6 +168,63 @@ def test_asymmetric_solution_invariants(ef, tau_ps, ea, eb):
     for eps in (ea, eb):
         kappa = cmath.sqrt(q * q - eps * K0_280 * K0_280)
         assert kappa.real >= 0
+    # Bound: above the light line of the denser half-space.
+    assert q.real > K0_280 * math.sqrt(max(ea, eb))
+
+
+def assert_bound_on_substrate(ef, tau, eps_below, freq):
+    """The air/substrate mode solves the relation and does not leak."""
+    w = 2 * math.pi * freq
+    k0 = w / C0
+    sigma = kubo_sigma(GrapheneSheet(ef, tau), w)
+    sol = spp_wavenumber_asymmetric(sigma, DielectricHalfspaces(1.0,
+                                                                eps_below), w)
+    q = sol.wavenumber
+    assert dispersion_residual(sigma.value, 1.0, eps_below, w, q) < 1e-10
+    assert cmath.sqrt(q * q - k0 * k0).real > 0
+    assert cmath.sqrt(q * q - eps_below * k0 * k0).real > 0
+    assert q.real > k0 * math.sqrt(eps_below)
+    return q
+
+
+def test_weak_long_tau_sheet_on_dense_substrate_is_solved():
+    # A weak, long-tau sheet over a dense substrate still binds a mode, well
+    # above the substrate light line: Re q / k0 = 1.80 > sqrt(3.08404).
+    q = assert_bound_on_substrate(0.350356, 1.99682e-12, 3.08404, 315e9)
+    assert q == pytest.approx(11907.710 + 184.116j, abs=1e-3)
+
+
+def test_mode_leaking_into_the_substrate_is_not_returned():
+    # Two roots solve the relation here. One sits just above the air light
+    # line (Re q / k0 = 1.00031) and leaks into the substrate; the bound
+    # one sits above sqrt(eps_below) = 1.68670.
+    q = assert_bound_on_substrate(1.3726330799746709, 1.6247981490839385e-12,
+                                  2.844966530636402, 245e9)
+    k0 = 2 * math.pi * 245e9 / C0
+    assert q.real / k0 == pytest.approx(1.68802, abs=1e-5)
+
+
+def test_sheet_without_conductivity_binds_no_mode():
+    sigma = SheetConductivity(0.0, 0.0)
+    with pytest.raises(NoBoundModeError):
+        spp_wavenumber_symmetric(sigma, 1.0, W_280)
+    halves = DielectricHalfspaces(1.0, 3.5)
+    with pytest.raises(NoBoundModeError):
+        spp_wavenumber_asymmetric(sigma, halves, W_280)
+    # So strong a sheet that the quartic's coefficients overflow.
+    with pytest.raises(NoBoundModeError):
+        spp_wavenumber_asymmetric(SheetConductivity(1e200, 1e200), halves,
+                                  W_280)
+
+
+@pytest.mark.parametrize("w", [0.0, -W_280, math.nan, math.inf])
+def test_solvers_reject_a_frequency_outside_positive_finite(w):
+    sigma = graphene_sigma(0.6, 0.6)
+    match = "angular_frequency must be finite and > 0"
+    with pytest.raises(ValidationError, match=match):
+        spp_wavenumber_symmetric(sigma, 1.0, w)
+    with pytest.raises(ValidationError, match=match):
+        spp_wavenumber_asymmetric(sigma, DielectricHalfspaces(1.0, 3.5), w)
 
 
 @pytest.mark.parametrize("field", ["eps_above", "eps_below"])

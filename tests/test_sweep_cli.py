@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from thzpatch import (SPECTRA_HEADER, SUMMARY_HEADER, Spectrum,
                       SweepCellResult, ValidationError, cli_main, emit,
                       mutual_conductance_ratio, parse_config, run_sweep, sweep)
+from thzpatch.errors import MAX_POINTS
 from thzpatch.sweep import fmt9, format_table, json_records, summary_row
 
 ROOT = Path(__file__).parent.parent
@@ -349,6 +350,20 @@ def test_cli_spp_range_longer_than_the_cap_is_a_usage_error(capsys):
     assert f"range has 900000000001 entries, more than {MAX_LIST_LENGTH}" in err
 
 
+@pytest.mark.parametrize("halfspaces", [[], ["--eps-above", "1",
+                                              "--eps-below", "3.5"]],
+                         ids=["symmetric", "asymmetric"])
+@pytest.mark.parametrize("freq", ["1e400GHz", "1e300THz"])
+def test_cli_spp_infinite_frequency_is_a_usage_error(capsys, halfspaces,
+                                                     freq):
+    code = cli_main(["spp", "--ef", "1.2eV", "--tau", "1.2ps", "--f", freq,
+                     *halfspaces])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "angular_frequency must be finite and > 0" in err
+
+
 def test_cli_spp_halfspace_flags_go_together(capsys):
     code = cli_main(["spp", "--ef", "1.2eV", "--tau", "1.2ps",
                      "--eps-above", "1.0"])
@@ -381,6 +396,20 @@ def test_cli_fdtd_check_resolution_outside_range_is_a_usage_error(
     assert code == 1
     err = capsys.readouterr().err
     assert "resolution must be in [100, 1600]" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "fdtd-check"])
+@pytest.mark.parametrize("points", [MAX_POINTS + 1, 10**9])
+def test_cli_points_above_the_cap_is_a_usage_error(capsys, command, points):
+    # Rejected before any spectrum or time-domain record is allocated.
+    args = [command, "--ef", "1.2eV", "--tau", "1.2ps",
+            "--points", str(points)]
+    if command == "analyze":
+        args += ["--f0", "280GHz"]
+    assert cli_main(args) == 1
+    err = capsys.readouterr().err
+    assert f"points must be >= 2 and <= {MAX_POINTS}" in err
     assert "Traceback" not in err
 
 
