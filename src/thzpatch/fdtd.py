@@ -45,10 +45,15 @@ INSTABILITY_FACTOR = 1e6
 RINGDOWN_TAUS = 16.0
 RINGDOWN_WIDTHS = 8.0
 BASE_RESOLUTION = 100
-# Cost grows linearly with resolution: at tau = 5 ps, the longest relaxation
-# time GrapheneSheet accepts, resolution 1600 takes 3.0 s of CPU and 250 MiB
-# peak (Python 3.11, one core of a 2-vCPU Xeon VM).
+# Time grows linearly with resolution, memory does not (the DFT kernel is
+# built in blocks): at tau = 5 ps, the longest relaxation time GrapheneSheet
+# accepts, and 1000 points, resolution 400 takes 0.9 s of CPU and 90 MiB
+# peak, resolution 1600 4.4 s and 93 MiB (Python 3.11, numpy 2.4, one core
+# of a 2-vCPU Xeon VM).
 MAX_RESOLUTION = 1600
+# Bytes of complex DFT kernel built at once; the transients while it is
+# built take about twice that.
+DFT_BLOCK_BYTES = 16 * 2**20
 BASE_PAD_CELLS = 45
 COURANT_NUMBER = 0.99
 
@@ -170,10 +175,18 @@ def _march(grid: Grid1D, drude_a: float, tau: float, n_steps: int,
 
 
 def _spectra(rec: np.ndarray, freqs: np.ndarray, dt: float) -> np.ndarray:
-    """DFT of each recorded row at the sample times (n+1) dt."""
+    """DFT of each recorded row at the sample times (n+1) dt.
+
+    The kernel is built for a block of frequencies at a time, at most
+    DFT_BLOCK_BYTES of it, so memory stays bounded at any points x steps.
+    """
     t = (np.arange(rec.shape[1]) + 1) * dt
-    kernel = np.exp(2j * np.pi * np.outer(freqs, t)) * dt
-    return kernel @ rec.T
+    block = max(1, DFT_BLOCK_BYTES // (16 * t.size))
+    out = np.empty((freqs.size, rec.shape[0]), dtype=complex)
+    for lo in range(0, freqs.size, block):
+        kernel = np.exp(2j * np.pi * np.outer(freqs[lo:lo + block], t)) * dt
+        out[lo:lo + block] = kernel @ rec.T
+    return out
 
 
 def run_drude_scattering(drude_a: float, tau: float, grid: Grid1D,
@@ -198,8 +211,8 @@ def run_drude_scattering(drude_a: float, tau: float, grid: Grid1D,
 
     ref = _march(grid, drude_a, tau, n_steps, t_w, t0, False)
     shr = _march(grid, drude_a, tau, n_steps, t_w, t0, True)
-    ref_f = _spectra(ref, freqs, grid.time_step)
-    shr_f = _spectra(shr, freqs, grid.time_step)
+    spectra = _spectra(np.vstack((ref, shr)), freqs, grid.time_step)
+    ref_f, shr_f = spectra[:, :4], spectra[:, 4:]
 
     transmission = shr_f[:, 1] / ref_f[:, 1]
     # Shift the scattered-field spectrum from the probe back to the sheet

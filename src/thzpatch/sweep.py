@@ -14,16 +14,25 @@ one document. Metal cells have no Fermi level or relaxation time: empty
 fields in CSV, null in JSON. The CLI writes its tables with the same
 format_table and json_records; emit writes the spectra, the bulk of a
 sweep's output, with one %-template per cell that gives the same bytes.
+Its "%.9g" conversion is also the exact JSON text of a value rounded to 9
+digits when 1e-3 <= |v| < 1e8 and v is not within 1e-8 |v| of a whole
+number (no exponent, the same shortest digits, and a "." that cannot round
+away), so a column where every value passes is formatted straight from the
+floats, in C; any other column goes through per-value texts, and the
+frequency column, shared by every cell, is formatted once per grid.
 Every file is written whole or not at all (write_atomic).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import os
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .circuit import AntennaReport, ConductorSpec, Spectrum, evaluate
 from .config import RunConfig
@@ -138,21 +147,42 @@ def write_atomic(path: str, chunks: Iterable[str]) -> None:
 
 # Spectra rows are written a cell at a time: the cell's identifying fields
 # are formatted once into a %-template that takes the four numeric columns.
-# "%.9g" is fmt9 of a float, and "%r" of a round9-rounded float is its JSON
-# text (spectra values are finite, so no NaN or Infinity arises).
+# "%.9g" is fmt9 of a float. It is also the JSON text of the round9-rounded
+# value, repr(round9(v)), whenever 1e-3 <= |v| < 1e8 and v is further than
+# 1e-8 |v| from a whole number: %g writes no exponent in that range, a
+# decimal of 9 significant digits survives the trip through a double so
+# repr gives back the same digits, and the rounding (at most 0.5e-8 |v|)
+# cannot reach a whole number, so the "." that repr keeps is there. A
+# column whose every value passes goes through the template as "%.9g"; any
+# other column as per-value texts through "%s". The frequency column holds
+# whole GHz values, so it is formatted as text once per distinct grid.
 
-def _spectra_columns(spectrum: Spectrum) -> tuple[list, list, list, list]:
-    return ((spectrum.frequency / 1e9).tolist(), spectrum.s11_db.tolist(),
-            spectrum.input_resistance.tolist(),
-            spectrum.input_reactance.tolist())
+@functools.lru_cache(maxsize=16)
+def _ghz_texts(frequency: bytes) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """A frequency grid, float64 Hz as bytes, as (csv, json) GHz texts."""
+    csv = tuple(map("%.9g".__mod__,
+                    (np.frombuffer(frequency) / 1e9).tolist()))
+    return csv, tuple(repr(float(text)) for text in csv)
+
+
+def _frequency_texts(spectrum: Spectrum) -> tuple[tuple[str, ...],
+                                                  tuple[str, ...]]:
+    """The frequency column as (csv, json) texts, formatted once per grid."""
+    return _ghz_texts(np.asarray(spectrum.frequency, dtype=float).tobytes())
+
+
+def _value_columns(spectrum: Spectrum) -> np.ndarray:
+    return np.stack((spectrum.s11_db, spectrum.input_resistance,
+                     spectrum.input_reactance))
 
 
 def _csv_spectra(cell: SweepCellResult) -> str:
     """The cell's SPECTRA_HEADER rows as CSV lines."""
     key = ",".join(map(fmt9, (cell.variant, cell.fermi_ev, cell.tau_ps)))
-    template = key.replace("%", "%%") + ",%.9g,%.9g,%.9g,%.9g\n"
-    return "".join(map(template.__mod__,
-                       zip(*_spectra_columns(cell.spectrum))))
+    template = key.replace("%", "%%") + ",%s,%.9g,%.9g,%.9g\n"
+    return "".join(map(template.__mod__, zip(
+        _frequency_texts(cell.spectrum)[0],
+        *_value_columns(cell.spectrum).tolist())))
 
 
 def _json9(value) -> str:
@@ -171,10 +201,18 @@ def _json_spectra(cell: SweepCellResult) -> str:
     """The cell's SPECTRA_HEADER rows as JSON objects joined by ",\\n"."""
     key = [_json9(v).replace("%", "%%")
            for v in (cell.variant, cell.fermi_ev, cell.tau_ps)]
-    template = _json_object(SPECTRA_HEADER.split(","), key + ["%r"] * 4)
-    rounded = ([float("%.9g" % v) for v in column]
-               for column in _spectra_columns(cell.spectrum))
-    return ",\n".join(map(template.__mod__, zip(*rounded)))
+    values = _value_columns(cell.spectrum)
+    size = np.abs(values)
+    direct = ((size >= 1e-3) & (size < 1e8)
+              & (np.abs(values - np.rint(values)) > 1e-8 * size)).all(axis=1)
+    columns = [_frequency_texts(cell.spectrum)[1]]
+    conversions = ["%s"]
+    for column, exact in zip(values.tolist(), direct.tolist()):
+        columns.append(column if exact else
+                       [repr(float("%.9g" % v)) for v in column])
+        conversions.append("%.9g" if exact else "%s")
+    template = _json_object(SPECTRA_HEADER.split(","), key + conversions)
+    return ",\n".join(map(template.__mod__, zip(*columns)))
 
 
 def _json_list(key: str, objects: Iterable[str]) -> Iterator[str]:

@@ -12,6 +12,7 @@ from thzpatch import (GrapheneSheet, Grid1D, ValidationError,
                       refinement_study, run_drude_scattering,
                       run_sheet_scattering)
 from thzpatch.errors import MAX_POINTS
+from thzpatch import fdtd
 from thzpatch.fdtd import COURANT_NUMBER, MAX_RESOLUTION
 
 BAND = (220e9, 325e9)
@@ -138,6 +139,20 @@ def test_fdtd_is_deterministic():
     assert np.array_equal(a.reflection, b.reflection)
     assert np.array_equal(a.transmission, b.transmission)
     assert np.array_equal(a.absorption, b.absorption)
+
+
+# 1 byte gives one frequency per block; 72,000 bytes at the 1,128 steps of
+# this resolution-100 run give 3 frequencies per block, the last one short.
+@pytest.mark.parametrize("block_bytes", [1, 72_000])
+def test_dft_in_blocks_matches_the_one_shot_spectra(monkeypatch, block_bytes):
+    grid = Grid1D.for_resolution(100)
+    one_shot = run_sheet_scattering(SHEET, grid, BAND, points=31)
+    monkeypatch.setattr(fdtd, "DFT_BLOCK_BYTES", block_bytes)
+    blocked = run_sheet_scattering(SHEET, grid, BAND, points=31)
+    for field in ("reflection", "transmission", "absorption"):
+        np.testing.assert_allclose(getattr(blocked, field),
+                                   getattr(one_shot, field),
+                                   rtol=1e-12, atol=0)
 
 
 def test_second_order_convergence():

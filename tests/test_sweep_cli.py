@@ -142,20 +142,60 @@ def _reference_tables(results):
 FAILED_ONLY = [SweepCellResult("metal", None, None, None, None, "failed")]
 
 
+def _assert_emit_matches_reference(tmp_path, results, fmt):
+    spectra, summary = _reference_tables(results)
+    emit(results, fmt, str(tmp_path / "out"))
+    if fmt == "csv":
+        assert (tmp_path / "out_spectra.csv").read_text() == \
+            format_table(SPECTRA_HEADER.split(","), spectra)
+        assert (tmp_path / "out_summary.csv").read_text() == \
+            format_table(SUMMARY_HEADER.split(","), summary)
+    else:
+        doc = {"spectra": json_records(SPECTRA_HEADER.split(","), spectra),
+               "summary": json_records(SUMMARY_HEADER.split(","), summary)}
+        assert (tmp_path / "out.json").read_text() == \
+            json.dumps(doc, indent=2) + "\n"
+
+
 @pytest.mark.parametrize("which", ["small", "failed_only"])
 def test_emit_matches_the_reference_writer(tmp_path, small_results, which):
     results = small_results if which == "small" else FAILED_ONLY
-    spectra, summary = _reference_tables(results)
-    emit(results, "csv", str(tmp_path / "out"))
-    emit(results, "json", str(tmp_path / "out"))
-    assert (tmp_path / "out_spectra.csv").read_text() == \
-        format_table(SPECTRA_HEADER.split(","), spectra)
-    assert (tmp_path / "out_summary.csv").read_text() == \
-        format_table(SUMMARY_HEADER.split(","), summary)
-    doc = {"spectra": json_records(SPECTRA_HEADER.split(","), spectra),
-           "summary": json_records(SUMMARY_HEADER.split(","), summary)}
-    assert (tmp_path / "out.json").read_text() == \
-        json.dumps(doc, indent=2) + "\n"
+    for fmt in ("csv", "json"):
+        _assert_emit_matches_reference(tmp_path, results, fmt)
+
+
+def test_emit_formats_each_frequency_grid_as_its_own(tmp_path, small_results):
+    # The frequency texts are cached per grid: alternating grids that differ
+    # in band, or in band and length, must never write one grid's texts for
+    # another's rows.
+    def sweep_over(band, points):
+        return run_sweep(parse_config(SMALL_CONFIG.replace(
+            "band = 220, 325 GHz\npoints = 11",
+            f"band = {band} GHz\npoints = {points}")))
+
+    same_length = sweep_over("230, 320", 11)
+    longer = sweep_over("230, 320", 37)
+    assert len(longer[0].spectrum) == 37
+    for results in (small_results, longer, same_length, small_results, longer):
+        for fmt in ("csv", "json", "csv"):
+            _assert_emit_matches_reference(tmp_path, results, fmt)
+
+
+def _assert_spectra_formatters_match(columns):
+    """_csv_spectra and _json_spectra of a cell with these four columns
+    give format_table's rows and json.dumps's layout of json_records."""
+    cell = SweepCellResult("graphene", 0.3, 1.2, None,
+                           Spectrum(*map(np.array, columns)), None)
+    rows = [("graphene", 0.3, 1.2, p.frequency / 1e9, p.s11_db,
+             p.input_resistance, p.input_reactance) for p in cell.spectrum]
+    table = format_table(SPECTRA_HEADER.split(","), rows)
+    assert sweep._csv_spectra(cell) == table.split("\n", 1)[1]
+    # json.dumps lays a top-level list out two spaces shallower than the
+    # objects of the sweep document's member lists.
+    listed = json.dumps(json_records(SPECTRA_HEADER.split(","), rows),
+                        indent=2)
+    expected = "\n".join("  " + line for line in listed.splitlines()[1:-1])
+    assert sweep._json_spectra(cell) == expected
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False))
@@ -172,19 +212,27 @@ def test_emit_matches_the_reference_writer(tmp_path, small_results, which):
 @example(123456789.0)
 @example(2.0 ** 53)
 def test_spectra_row_formatters_match_fmt9_and_json(value):
-    arrays = [np.array([value]) for _ in range(4)]
-    cell = SweepCellResult("graphene", 0.3, 1.2, None, Spectrum(*arrays),
-                           None)
-    p, = cell.spectrum
-    row = ("graphene", 0.3, 1.2, p.frequency / 1e9, p.s11_db,
-           p.input_resistance, p.input_reactance)
-    assert sweep._csv_spectra(cell) == ",".join(map(fmt9, row)) + "\n"
-    # json.dumps lays a one-object list out two spaces shallower than the
-    # objects of the sweep document's member lists.
-    listed = json.dumps(json_records(SPECTRA_HEADER.split(","), [row]),
-                        indent=2)
-    expected = "\n".join("  " + line for line in listed.splitlines()[1:-1])
-    assert sweep._json_spectra(cell) == expected
+    _assert_spectra_formatters_match([[value]] * 4)
+
+
+# Values at the edges of the range where "%.9g" is the JSON text: whole
+# numbers, the ends of [1e-3, 1e8), values that round to a whole number or
+# to 1e8 and beyond, huge and subnormal magnitudes, and -0.0.
+EDGE_VALUES = [3.0, -120.0, 2.0 ** 53, 1e-3, -1e-3, 0.000999999999, 1e8,
+               -1e8, 99999999.99999, 99999999.5, 999999999.5, 1e16, -0.0,
+               0.0, 5e-324, -1e-310, 2.2250738585072014e-308, 0.5, 1.5,
+               12345.0000001]
+
+
+@given(st.integers(1, 40).flatmap(lambda n: st.lists(
+    st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                       st.sampled_from(EDGE_VALUES)),
+             min_size=n, max_size=n),
+    min_size=4, max_size=4)))
+def test_spectra_formatters_match_on_mixed_columns(columns):
+    # One value that breaks the "%.9g" rule anywhere in a column must send
+    # the whole column through the exact per-value texts.
+    _assert_spectra_formatters_match(columns)
 
 
 @pytest.mark.parametrize("fmt, formatter, target", [
