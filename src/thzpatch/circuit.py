@@ -32,8 +32,7 @@ from typing import Iterator
 import numpy as np
 
 from .constants import CODATA2018
-from .errors import (ValidationError, require_band, require_frequency,
-                     require_points)
+from .errors import ValidationError, require_frequency, require_grid
 from .materials import GrapheneSheet, sheet_impedance
 from .patch import PatchGeometry, f_res_metal, kinetic_pull
 
@@ -166,7 +165,8 @@ def q_factors(geometry: PatchGeometry, conductor: ConductorSpec,
     h = geometry.substrate.thickness
     lam0 = CODATA2018.light_speed / frequency
 
-    q_diel = 1.0 / geometry.substrate.loss_tangent
+    tan_d = geometry.substrate.loss_tangent
+    q_diel = 1.0 / tan_d if tan_d else math.inf
 
     if conductor.sheet is None:
         r_skin = math.sqrt(w * CODATA2018.vacuum_permeability
@@ -206,14 +206,17 @@ def _transformer_ratio(geometry: PatchGeometry) -> float:
 def s11_spectrum(geometry: PatchGeometry, conductor: ConductorSpec,
                  band: tuple[float, float], points: int) -> Spectrum:
     """Reflection response over the band against the 50 ohm reference."""
-    require_band(band)
-    require_points(points)
+    require_grid(band, points)
     f_res, q, r_peak = _resonator_parameters(geometry, conductor)
     n_sq = _transformer_ratio(geometry)
 
     freqs = np.linspace(band[0], band[1], points)
-    detune = freqs / f_res - f_res / freqs
-    z_in = (r_peak / (1 + 1j * q * detune)) / n_sq
+    # 1 + i q detune, built so that a detuning that overflows far from the
+    # resonance gives 1 + i inf (and z_in its limit 0), not 0 * inf = nan.
+    denominator = np.ones(points, dtype=complex)
+    with np.errstate(over="ignore"):
+        denominator.imag = q * (freqs / f_res - f_res / freqs)
+    z_in = (r_peak / denominator) / n_sq
     gamma = (z_in - REFERENCE_IMPEDANCE) / (z_in + REFERENCE_IMPEDANCE)
     with np.errstate(divide="ignore"):
         s11_db = 20 * np.log10(np.abs(gamma))
@@ -246,16 +249,14 @@ def bandwidth_minus10db(spectrum: Spectrum) -> float:
 
     freqs = spectrum.frequency.tolist()
     s11 = spectrum.s11_db.tolist()
-    if lo == 0:
-        f_left = freqs[0]
-    else:
-        frac = (threshold - s11[lo - 1]) / (s11[lo] - s11[lo - 1])
-        f_left = freqs[lo - 1] + frac * (freqs[lo] - freqs[lo - 1])
-    if hi == len(s11) - 1:
-        f_right = freqs[-1]
-    else:
-        frac = (threshold - s11[hi]) / (s11[hi + 1] - s11[hi])
-        f_right = freqs[hi] + frac * (freqs[hi + 1] - freqs[hi])
+
+    def crossing(i: int) -> float:
+        """Where the line from sample i to sample i + 1 meets the threshold."""
+        frac = (threshold - s11[i]) / (s11[i + 1] - s11[i])
+        return freqs[i] + frac * (freqs[i + 1] - freqs[i])
+
+    f_left = freqs[0] if lo == 0 else crossing(lo - 1)
+    f_right = freqs[-1] if hi == len(s11) - 1 else crossing(hi)
     return f_right - f_left
 
 

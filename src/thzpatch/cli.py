@@ -294,15 +294,9 @@ def cli_main(argv: list[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except ValidationError as exc:
+    except (ValidationError, NumericalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, NumericalError) else 1
 
 
 def main() -> None:

@@ -28,7 +28,8 @@ or range applies to every element before it.
 
 Every parse or validation problem is reported with the offending key and
 line number. Value bounds live in the domain types (SubstrateSpec,
-GrapheneSheet); their errors are re-raised here with the key and line.
+GrapheneSheet) and the sample-grid rule in errors.require_grid, shared with
+the CLI and the API; their errors are re-raised here with the key and line.
 Validation is fail-fast: nothing is computed from a config that has any
 invalid value.
 """
@@ -39,7 +40,7 @@ import re
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 
-from .errors import ConfigError, UnitError, ValidationError, require_points
+from .errors import ConfigError, UnitError, ValidationError, require_grid
 from .materials import GrapheneSheet
 from .patch import FREQUENCY_RANGE_HZ, SubstrateSpec
 
@@ -205,6 +206,8 @@ _FIELD_KEYS = {
     "fermi_level": ("sweep", "fermi_levels"),
     "relaxation_time": ("sweep", "relaxation_times"),
     "temperature": ("sweep", "temperature"),
+    "band": ("sweep", "band"),
+    "points": ("sweep", "points"),
 }
 
 
@@ -297,12 +300,10 @@ def parse_config(text: str) -> RunConfig:
 
     val, ln = get("sweep", "band")
     band_vals = parse_quantity_list(val, "frequency", "band", ln)
-    if len(band_vals) != 2 or not (band_vals[0] < band_vals[1]):
+    if len(band_vals) != 2:
         raise ConfigError(f"line {ln}: key 'band': need exactly two "
                           f"frequencies with lo < hi")
-    if not (f_min <= band_vals[0] and band_vals[1] <= f_max):
-        raise ConfigError(f"line {ln}: key 'band': must lie within "
-                          f"[{f_min:.0e}, {f_max:.0e}] Hz")
+    band = (band_vals[0], band_vals[1])
 
     val, ln = get("sweep", "variants")
     variants = [item.strip() for item in val.split(",")]
@@ -317,11 +318,12 @@ def parse_config(text: str) -> RunConfig:
     val, ln = get("sweep", "points")
     try:
         points = int(val)
-        require_points(points)
     except ValueError:
         raise ConfigError(f"line {ln}: key 'points': not an integer: {val!r}")
+    try:
+        require_grid(band, points)
     except ValidationError as exc:
-        raise ConfigError(f"line {ln}: key 'points': {exc.reason}") from None
+        raise in_context(exc) from None
     cells = (("metal" in variants)
              + ("graphene" in variants) * len(fermi) * len(taus))
     if cells * points > MAX_SWEEP_SAMPLES:
@@ -336,7 +338,7 @@ def parse_config(text: str) -> RunConfig:
     path, _ = get("output", "path")
 
     grid = SweepGrid(fermi_levels=fermi, relaxation_times=taus,
-                     frequency_band=(band_vals[0], band_vals[1]),
+                     frequency_band=band,
                      frequency_points=points, variants=variants)
     return RunConfig(substrate=substrate, design_frequency=f_design,
                      sweep=grid, output_format=fmt, output_path=path,

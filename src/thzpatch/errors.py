@@ -36,10 +36,18 @@ def require_finite(obj: object, *fields: str) -> None:
             raise ValidationError("must be finite", field=name)
 
 
+# Below about 1e-300 Hz the free-space wavenumber 2 pi f / c is subnormal,
+# and below 2.4e-316 Hz it is 0, which the SPP solvers divide by.
+MIN_FREQUENCY = 1e-290
+
+
 def require_frequency(value: float, field: str) -> None:
-    """Reject a frequency unless it is finite and > 0."""
+    """Reject a frequency (Hz or rad/s) unless it is finite and at least
+    MIN_FREQUENCY."""
     if not (0 < value < math.inf):
         raise ValidationError("must be finite and > 0", field=field)
+    if value < MIN_FREQUENCY:
+        raise ValidationError(f"must be >= {MIN_FREQUENCY:g}", field=field)
 
 
 # Samples per spectrum. fdtd-check costs most per sample: at tau 5 ps and
@@ -48,18 +56,24 @@ def require_frequency(value: float, field: str) -> None:
 MAX_POINTS = 1000
 
 
-def require_points(points: int) -> None:
-    """Reject a spectrum sample count outside [2, MAX_POINTS]."""
+def require_grid(band: tuple[float, float], points: int) -> None:
+    """Reject a sample grid unless 2 <= points <= MAX_POINTS and the band is
+    finite with 0 < f_lo < f_hi and wide enough for `points` distinct samples.
+
+    np.linspace forms sample k as k * step + f_lo: two roundings, each within
+    half an ulp of f_hi, and a step that carries its own relative rounding.
+    A step of more than 2 ulp(f_hi) therefore keeps consecutive samples
+    apart; the check asks for twice that.
+    """
     if not 2 <= points <= MAX_POINTS:
         raise ValidationError(f"must be >= 2 and <= {MAX_POINTS}",
                               field="points")
-
-
-def require_band(band: tuple[float, float]) -> None:
-    """Reject a frequency band unless it is finite with 0 < f_lo < f_hi."""
     f_lo, f_hi = band
     if not (0 < f_lo < f_hi and math.isfinite(f_hi)):
-        raise ValidationError("band must satisfy 0 < f_lo < f_hi")
+        raise ValidationError("must satisfy 0 < f_lo < f_hi", field="band")
+    if not (f_hi - f_lo) / (points - 1) > 4 * math.ulp(f_hi):
+        raise ValidationError(f"must be wide enough for {points} distinct "
+                              "samples", field="band")
 
 
 class InfeasibleDesignError(ValidationError):

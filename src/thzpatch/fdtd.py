@@ -34,8 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .constants import CODATA2018
-from .errors import (InstabilityError, ValidationError, require_band,
-                     require_points)
+from .errors import InstabilityError, ValidationError, require_grid
 from .materials import GrapheneSheet, drude_weight, kubo_sigma
 
 DESIGN_F_MAX = 325e9            # resolution counts cells per wavelength here
@@ -117,19 +116,13 @@ def _layout(grid: Grid1D) -> tuple[int, int, int]:
     return grid.pad, 2 * grid.pad, 4 * grid.pad
 
 
-def _validate_band(band: tuple[float, float]) -> None:
-    require_band(band)
-    for f in band:
-        x = f / SOURCE_CENTER_HZ
-        # Spectrum of the differentiated Gaussian relative to its peak.
-        if x * math.exp((1 - x * x) / 2) < 0.1:
-            raise ValidationError(
-                f"{f / 1e9:.1f} GHz is outside the source's -20 dB support")
-
-
 def _march(grid: Grid1D, drude_a: float, tau: float, n_steps: int,
-           t_w: float, t0: float, with_sheet: bool) -> np.ndarray:
-    """Advance the grid; rows: E at probe_r, probe_t, sheet, and J."""
+           t_w: float, t0: float) -> np.ndarray:
+    """Advance the grid; rows: E at probe_r, probe_t, sheet, and J.
+
+    drude_a = 0 gives the sheet-free reference: the sheet update then
+    leaves the node's field as the curl made it and J at 0.
+    """
     eps0 = CODATA2018.vacuum_permittivity
     mu0 = CODATA2018.vacuum_permeability
     c = CODATA2018.light_speed
@@ -146,30 +139,31 @@ def _march(grid: Grid1D, drude_a: float, tau: float, n_steps: int,
     exp_fac = math.exp(-dt / tau)
     drive_fac = drude_a * tau * (1 - exp_fac)
     g = drive_fac * dt / (eps0 * dx)
+    g_quarter, g_norm = g / 4, 1 + g / 4
+    j_fac = (dt / (2 * eps0 * dx)) * (1 + exp_fac)
     guard = INSTABILITY_FACTOR * SOURCE_PEAK
 
     rec = np.empty((4, n_steps))
     for n in range(n_steps):
         hy += ch * (ez[1:] - ez[:-1])
-        ez_l, ez_r = ez[1], ez[-2]
-        ez0_old, ezn_old = ez[0], ez[-1]
-        e_sh_old = ez[n_sh]
+        ez_l, ez_r = ez.item(1), ez.item(-2)
+        ez0_old, ezn_old = ez.item(0), ez.item(-1)
+        e_sh_old = ez.item(n_sh)
         ez[1:-1] += ce * (hy[1:] - hy[:-1])
-        if with_sheet:
-            ez[n_sh] = (ez[n_sh] - (g / 4) * e_sh_old
-                        - (dt / (2 * eps0 * dx)) * (1 + exp_fac) * js) / (1 + g / 4)
-            js = exp_fac * js + drive_fac * 0.5 * (e_sh_old + ez[n_sh])
+        e_sh = (ez.item(n_sh) - g_quarter * e_sh_old - j_fac * js) / g_norm
+        ez[n_sh] = e_sh
+        js = exp_fac * js + drive_fac * 0.5 * (e_sh_old + e_sh)
         tt = ((n + 1) * dt - t0) / t_w
         ez[src] += tt * math.exp(-0.5 * tt * tt)
-        ez[0] = ez_l + beta * (ez[1] - ez0_old)
-        ez[-1] = ez_r + beta * (ez[-2] - ezn_old)
-        if abs(ez[n_sh]) > guard:
+        ez[0] = ez_l + beta * (ez.item(1) - ez0_old)
+        ez[-1] = ez_r + beta * (ez.item(-2) - ezn_old)
+        if abs(e_sh) > guard:
             raise InstabilityError(
                 f"field at the sheet node exceeded {INSTABILITY_FACTOR:.0e} "
                 f"times the source peak at step {n}")
-        rec[0, n] = ez[probe_r]
-        rec[1, n] = ez[probe_t]
-        rec[2, n] = ez[n_sh]
+        rec[0, n] = ez.item(probe_r)
+        rec[1, n] = ez.item(probe_t)
+        rec[2, n] = e_sh
         rec[3, n] = js
     return rec
 
@@ -199,8 +193,13 @@ def run_drude_scattering(drude_a: float, tau: float, grid: Grid1D,
     """
     if not (0 <= drude_a < math.inf and 0 < tau < math.inf):
         raise ValidationError("need finite drude_a >= 0 and tau > 0")
-    require_points(points)
-    _validate_band(band)
+    require_grid(band, points)
+    for f in band:
+        x = f / SOURCE_CENTER_HZ
+        # Spectrum of the differentiated Gaussian relative to its peak.
+        if x * math.exp((1 - x * x) / 2) < 0.1:
+            raise ValidationError(
+                f"{f / 1e9:.1f} GHz is outside the source's -20 dB support")
     freqs = np.linspace(band[0], band[1], points)
 
     t_w = 1.0 / (2 * math.pi * SOURCE_CENTER_HZ)
@@ -209,8 +208,8 @@ def run_drude_scattering(drude_a: float, tau: float, grid: Grid1D,
     t_end = t0 + transit + RINGDOWN_TAUS * tau + RINGDOWN_WIDTHS * t_w
     n_steps = int(math.ceil(t_end / grid.time_step))
 
-    ref = _march(grid, drude_a, tau, n_steps, t_w, t0, False)
-    shr = _march(grid, drude_a, tau, n_steps, t_w, t0, True)
+    ref = _march(grid, 0.0, tau, n_steps, t_w, t0)
+    shr = _march(grid, drude_a, tau, n_steps, t_w, t0)
     spectra = _spectra(np.vstack((ref, shr)), freqs, grid.time_step)
     ref_f, shr_f = spectra[:, :4], spectra[:, 4:]
 

@@ -25,6 +25,10 @@ from .errors import ValidationError, require_finite, require_frequency
 
 FERMI_LEVEL_RANGE_EV = (0.05, 2.0)
 RELAXATION_RANGE_S = (0.05e-12, 5.0e-12)
+# drude_weight's prefactor 2 e^2 k_B T / (pi hbar^2) goes subnormal below
+# about 3e-248 K: at 1e-255 K the weight is off by 3e-9, and from 1e-265 K
+# it is 0, so the sheet impedance divides by zero.
+MIN_TEMPERATURE_K = 1e-240
 
 
 @dataclass(frozen=True)
@@ -54,6 +58,9 @@ class GrapheneSheet:
                 f"[{lo:.0e}, {hi:.0e}] s", field="relaxation_time")
         if self.temperature <= 0:
             raise ValidationError("must be > 0 K", field="temperature")
+        if self.temperature < MIN_TEMPERATURE_K:
+            raise ValidationError(f"must be >= {MIN_TEMPERATURE_K:g} K",
+                                  field="temperature")
 
 
 @dataclass(frozen=True)

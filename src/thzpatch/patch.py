@@ -26,6 +26,10 @@ from .errors import (BracketError, InfeasibleDesignError, ValidationError,
 from .materials import GrapheneSheet, sheet_impedance
 
 FREQUENCY_RANGE_HZ = (1e9, 10e12)
+# The metal variant's peak resistance scales as h^2: at 1e-158 m (1 GHz,
+# eps_r 1e6) it is subnormal and the S11 spectrum overflows, and at
+# 1e-300 m it is 0. Every input tried works from 1e-157 m up.
+MIN_THICKNESS_M = 1e-150
 
 
 @dataclass(frozen=True)
@@ -44,6 +48,9 @@ class SubstrateSpec:
             raise ValidationError("must be in [0, 0.1)", field="loss_tangent")
         if self.thickness <= 0:
             raise ValidationError("must be > 0", field="thickness")
+        if self.thickness < MIN_THICKNESS_M:
+            raise ValidationError(f"must be >= {MIN_THICKNESS_M:g} m",
+                                  field="thickness")
 
 
 @dataclass(frozen=True)

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .constants import CODATA2018
-from .errors import (ConvergenceError, NoBoundModeError, ValidationError,
-                     require_finite, require_frequency)
+from .errors import (ConvergenceError, NoBoundModeError, NumericalError,
+                     ValidationError, require_finite, require_frequency)
 from .materials import GrapheneSheet, SheetConductivity, kubo_sigma
 
 NEWTON_REL_RESIDUAL = 1e-10
@@ -65,14 +65,25 @@ class SppSolution:
     propagation_length: float
 
 
-def _bound_mode(roots: Iterable[complex], k0: float, eps: float) -> complex:
-    """The root that, taken with Im q >= 0, lies above k0 sqrt(eps)."""
-    light_line = k0 * math.sqrt(eps)
-    for q in roots:
+def _bound_mode(modes: Iterable[tuple[complex, complex]], k0: float,
+                eps: float) -> complex:
+    """The first q, taken with Im q >= 0, that lies above k0 sqrt(eps).
+
+    Each mode comes with (kappa/k0)^2 = (q/k0)^2 - eps on the line's side,
+    found without that cancelling difference. Near the line Re q carries
+    more rounding than its distance from it, so the side is read from the
+    excess Re q/k0 - sqrt(eps) = Re((kappa/k0)^2 / (q/k0 + sqrt(eps))),
+    and the mode counts as bound only if the excess survives being added
+    to sqrt(eps), and Re q/k0 exceeds sqrt(eps) too. A smaller excess
+    leaves no trace in q: such a mode cannot be told from the line.
+    """
+    line = math.sqrt(eps)
+    for q, decay_sq in modes:
         q = q if q.imag >= 0 else -q
-        if q.real >= light_line:
+        n = q / k0
+        if n.real > line and line + (decay_sq / (n + line)).real > line:
             return q
-    raise NoBoundModeError(f"no Re q exceeds k0*sqrt(eps) = {light_line:.6g} "
+    raise NoBoundModeError(f"no Re q exceeds k0*sqrt(eps) = {k0 * line:.6g} "
                            "rad/m; sheet does not bind a TM mode here")
 
 
@@ -98,7 +109,8 @@ def spp_wavenumber_symmetric(sigma: SheetConductivity, eps: float,
     ratio = 2 * cmath.sqrt(eps) / (CODATA2018.free_space_impedance
                                    * sigma.value)
     q = k0 * cmath.sqrt(eps) * cmath.sqrt(1 - ratio * ratio)
-    return _solution_from_q(_bound_mode([q], k0, eps), k0)
+    return _solution_from_q(_bound_mode([(q, -eps * ratio * ratio)], k0,
+                                        eps), k0)
 
 
 def _relation(q: complex, k0: float, ea: float,
@@ -106,7 +118,9 @@ def _relation(q: complex, k0: float, ea: float,
     """eps_a/kappa_a + eps_b/kappa_b at q, and its derivative in q."""
     ka = cmath.sqrt(q * q - ea * k0 * k0)
     kb = cmath.sqrt(q * q - eb * k0 * k0)
-    return ea / ka + eb / kb, -q * (ea / ka**3 + eb / kb**3)
+    # Products, not **3: complex ** raises OverflowError where * gives inf.
+    return (ea / ka + eb / kb,
+            -q * (ea / (ka * ka * ka) + eb / (kb * kb * kb)))
 
 
 def spp_wavenumber_asymmetric(sigma: SheetConductivity,
@@ -120,7 +134,10 @@ def spp_wavenumber_asymmetric(sigma: SheetConductivity,
     quartic (u^2 + eps_a - eps_b)(r u - eps_a)^2 = eps_b^2 u^2. Its roots
     with Re u > 0 and Re v > 0 are the modes; the bound one gets two
     Newton steps in q, and a relative residual left at NEWTON_REL_RESIDUAL
-    or above raises ConvergenceError.
+    or above raises ConvergenceError. Near the denser light line v is
+    small, and v from the relation keeps the digits that u^2 + eps_a -
+    eps_b cancels away, so that v decides which side of the line the mode
+    is on (u when the denser half-space is above).
     """
     # Imported here so that importing this module does not load numpy.
     import numpy as np
@@ -135,15 +152,25 @@ def spp_wavenumber_asymmetric(sigma: SheetConductivity,
               -2 * r * ea * d, d * ea * ea]
     if not 0 < abs(coeffs[0]) < math.inf:  # sigma = 0, or r^2 out of range
         raise NoBoundModeError(f"sigma = {sigma.value:.3g} S binds no mode")
+    row = [-c / coeffs[0] for c in coeffs[1:]]
+    if not all(map(cmath.isfinite, row)):
+        raise NumericalError(f"the mode equation of sigma = "
+                             f"{sigma.value:.3g} S between eps {ea:g} and "
+                             f"{eb:g} leaves double range")
     # As np.roots does it (companion matrix eigenvalues), minus its overhead.
     companion = np.eye(4, k=-1, dtype=complex)
-    companion[0] = [-c / coeffs[0] for c in coeffs[1:]]
-    roots = np.linalg.eigvals(companion).tolist()
-    modes = [k0 * cmath.sqrt(u * u + ea) for u in roots
-             if u.real > 0 and (eb * u / (r * u - ea)).real > 0]
+    companion[0] = row
+    modes = []
+    for u in np.linalg.eigvals(companion).tolist():
+        v = eb * u / (r * u - ea)
+        if u.real > 0 and v.real > 0:
+            dense = v if eb >= ea else u
+            modes.append((k0 * cmath.sqrt(u * u + ea), dense * dense))
     q = _bound_mode(modes, k0, max(ea, eb))
     for _ in range(2):
         lhs, slope = _relation(q, k0, ea, eb)
+        if slope == 0:  # both kappa^3 overflowed; the residual tells
+            break
         q -= (lhs - rhs) / slope
     residual = abs(_relation(q, k0, ea, eb)[0] - rhs) / abs(rhs)
     if not residual < NEWTON_REL_RESIDUAL:

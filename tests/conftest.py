@@ -1,11 +1,22 @@
-"""Shared test plumbing: the acceptance-criteria report.
+"""Shared test plumbing: the hypothesis profiles and the acceptance-criteria
+report.
+
+HYPOTHESIS_PROFILE=ci selects derandomized draws, so a failure on CI
+reproduces locally with the same setting, and prints the blob that
+replays it; other runs keep hypothesis's default profile.
 
 test_acceptance.py records one line per shipped claim through the
 `criterion` fixture; the summary hook prints them all, pass and fail
 alike, after the run.
 """
 
+import os
+
 import pytest
+from hypothesis import settings
+
+settings.register_profile("ci", derandomize=True, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 _criteria: list[tuple[int, str, bool, str]] = []
 

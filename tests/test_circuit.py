@@ -16,7 +16,7 @@ from thzpatch import (ConductorSpec, GrapheneSheet, PatchGeometry, Spectrum,
                       bandwidth_minus10db, design_patch, directivity_dbi,
                       evaluate, f_res_metal, gain_report, graphene_resonance,
                       mutual_conductance_ratio, q_factors, s11_spectrum)
-from thzpatch.errors import MAX_POINTS
+from thzpatch.errors import MAX_POINTS, require_grid
 
 BAND = (220e9, 325e9)
 POINTS = 211
@@ -267,8 +267,28 @@ def test_spectrum_input_validation(designed):
         s11_spectrum(designed, ConductorSpec.metal(), BAND, 1)
     with pytest.raises(ValidationError, match=f"<= {MAX_POINTS}$"):
         s11_spectrum(designed, ConductorSpec.metal(), BAND, MAX_POINTS + 1)
+    # 211 samples over 1 mHz at 280 GHz would repeat frequencies.
+    with pytest.raises(ValidationError,
+                       match="^band must be wide enough for 211 distinct "
+                             "samples$"):
+        s11_spectrum(designed, ConductorSpec.metal(),
+                     (280e9, 280.000000000001e9), POINTS)
     assert len(s11_spectrum(designed, ConductorSpec.metal(), BAND,
                             MAX_POINTS)) == MAX_POINTS
+
+
+@settings(max_examples=500, deadline=None)
+@given(f_hi=st.floats(1.0, 1e13), points=st.integers(2, MAX_POINTS),
+       ulps=st.floats(0.0, 8.0))
+def test_every_accepted_grid_samples_distinct_frequencies(f_hi, points,
+                                                          ulps):
+    # Bands from 0 to 8 ulp(f_hi) per step: around the rule's threshold.
+    f_lo = f_hi - ulps * math.ulp(f_hi) * (points - 1)
+    try:
+        require_grid((f_lo, f_hi), points)
+    except ValidationError:
+        return
+    assert np.all(np.diff(np.linspace(f_lo, f_hi, points)) > 0)
 
 
 @pytest.mark.parametrize("frequency", [0.0, -280e9, math.nan, math.inf])

@@ -222,6 +222,10 @@ def test_comments_and_blank_lines_are_ignored():
 def test_value_range_checks():
     with pytest.raises(ConfigError, match=r"'rel_permittivity': must be > 1"):
         parse_config(_with({"rel_permittivity": "0.8"}))
+    with pytest.raises(ConfigError,
+                       match=r"^line 3: key 'rel_permittivity': not a number: "
+                             r"'3\.5\.1'$"):
+        parse_config(_with({"rel_permittivity": "3.5.1"}))
     with pytest.raises(ConfigError, match=r"'loss_tangent': must be in"):
         parse_config(_with({"loss_tangent": "0.5"}))
     with pytest.raises(ConfigError, match=r"'thickness': must be > 0"):
@@ -275,6 +279,34 @@ def test_points_above_the_cap_name_key_and_line():
         parse_config(_with({"points": str(MAX_POINTS + 1)}))
     with pytest.raises(ConfigError, match=r"^line 14: key 'points': "):
         parse_config(_with({"points": "1000000000"}))
+
+
+@pytest.mark.parametrize("band, points, reason", [
+    ("325, 220 GHz", "211", "must satisfy 0 < f_lo < f_hi"),
+    ("0, 325 GHz", "211", "must satisfy 0 < f_lo < f_hi"),
+    ("280, 280.000000000001 GHz", "211",
+     "must be wide enough for 211 distinct samples"),
+    ("280, 280.000000000001 GHz", "2", None),
+    ("100 MHz, 20 THz", "211", None),
+])
+def test_sample_grid_rule_names_key_and_line(band, points, reason):
+    # errors.require_grid is the one rule, shared with the CLI and the API;
+    # the config adds no band range of its own.
+    text = _with({"band": band, "points": points})
+    if reason is None:
+        assert parse_config(text).sweep.frequency_band[1] > 0
+        return
+    with pytest.raises(ConfigError,
+                       match=rf"^line 13: key 'band': {re.escape(reason)}$"):
+        parse_config(text)
+
+
+def test_reversed_band_is_reported_after_variants():
+    # The grid is checked once points is read, which comes after variants.
+    with pytest.raises(ConfigError, match=r"unknown variant 'gold'"):
+        parse_config(_with({"band": "325, 220 GHz", "variants": "gold"}))
+    with pytest.raises(ConfigError, match=r"'points': not an integer"):
+        parse_config(_with({"band": "325, 220 GHz", "points": "many"}))
 
 
 def test_sweep_samples_are_capped_at_parse_time():

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thzpatch import (GrapheneSheet, Grid1D, ValidationError,
-                      analytic_sheet_coefficients, compare_fdtd_analytic,
-                      refinement_study, run_drude_scattering,
-                      run_sheet_scattering)
+from thzpatch import (GrapheneSheet, Grid1D, InstabilityError,
+                      ValidationError, analytic_sheet_coefficients,
+                      compare_fdtd_analytic, refinement_study,
+                      run_drude_scattering, run_sheet_scattering)
 from thzpatch.errors import MAX_POINTS
 from thzpatch import fdtd
 from thzpatch.fdtd import COURANT_NUMBER, MAX_RESOLUTION
@@ -79,6 +79,21 @@ def test_band_validation():
                          (1e12, math.nan), (1e12, math.inf)):
         with pytest.raises(ValidationError, match="need finite drude_a"):
             run_drude_scattering(drude_a, tau, grid, BAND)
+    # Too narrow for distinct samples: linspace would repeat frequencies.
+    with pytest.raises(ValidationError,
+                       match="^band must be wide enough for 106 distinct"):
+        run_sheet_scattering(SHEET, grid, (280e9, 280.000000000001e9))
+    with pytest.raises(ValidationError, match="must be non-empty"):
+        analytic_sheet_coefficients(SHEET, [])
+
+
+def test_instability_guard_stops_the_march(monkeypatch):
+    # No real input diverges (the sheet update is unconditionally stable),
+    # so the guard is lowered below the pulse itself.
+    monkeypatch.setattr(fdtd, "INSTABILITY_FACTOR", 1e-6)
+    with pytest.raises(InstabilityError, match="exceeded 1e-06 times the "
+                                               "source peak at step"):
+        run_sheet_scattering(SHEET, Grid1D.for_resolution(100), BAND)
 
 
 def test_vacuum_run_is_exact():

@@ -66,10 +66,38 @@ def test_symmetric_derived_metrics():
 
 
 def test_perfect_conductor_limit():
-    # A very conductive sheet pins the mode to the light line.
-    sol = spp_wavenumber_symmetric(SheetConductivity(1e7, 0.0), 1.0, W_280)
-    assert sol.confinement_ratio == pytest.approx(1.0, abs=1e-12)
-    assert sol.propagation_length == math.inf
+    # A lossless inductive sheet binds a mode that closes in on the light
+    # line from above as it grows more conductive: Re q/k0 - 1 is
+    # 2/(eta0 s)^2 to first order.
+    eta0 = 376.730313668
+    previous = math.inf
+    for s in (1.0, 10.0, 1e2, 1e3):
+        sol = spp_wavenumber_symmetric(SheetConductivity(0.0, s), 1.0, W_280)
+        assert 1 < sol.confinement_ratio < previous
+        assert sol.confinement_ratio - 1 == pytest.approx(2 / (eta0 * s)**2,
+                                                          rel=1e-3)
+        assert sol.propagation_length == math.inf
+        previous = sol.confinement_ratio
+    # A very conductive sheet pins the mode to the light line, where its q
+    # cannot be told from the line.
+    with pytest.raises(NoBoundModeError):
+        spp_wavenumber_symmetric(SheetConductivity(1e7, 0.0), 1.0, W_280)
+
+
+@pytest.mark.parametrize("s", [1e2, 1e4, 1e6, 1e8, 1e12, 1e20])
+def test_near_perfect_conductor_binds_no_mode(s):
+    # The denser side's root sits within rounding of its light line
+    # (kappa/k0 ~ 4.7e-9 at 1e6 S), where Re q alone cannot show the side;
+    # the symmetric mode's Re q rounds onto the line itself. Neither may be
+    # returned as bound, nor may the asymmetric polish diverge.
+    sigma = SheetConductivity(s, s)
+    for halves in ((1.0, 3.5), (3.5, 1.0)):
+        with pytest.raises(NoBoundModeError):
+            spp_wavenumber_asymmetric(sigma, DielectricHalfspaces(*halves),
+                                      W_280)
+    for eps in (1.0, 3.5):
+        with pytest.raises(NoBoundModeError):
+            spp_wavenumber_symmetric(sigma, eps, W_280)
 
 
 def test_resistive_sheet_binds_no_mode():

@@ -11,9 +11,10 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from thzpatch import (SPECTRA_HEADER, SUMMARY_HEADER, Spectrum,
-                      SweepCellResult, ValidationError, cli_main, emit,
-                      mutual_conductance_ratio, parse_config, run_sweep, sweep)
+from thzpatch import (SPECTRA_HEADER, SUMMARY_HEADER, NoBoundModeError,
+                      Spectrum, SweepCellResult, ValidationError, cli, cli_main,
+                      emit, evaluate, mutual_conductance_ratio, parse_config,
+                      run_sweep, sweep)
 from thzpatch.errors import MAX_POINTS
 from thzpatch.sweep import fmt9, format_table, json_records, summary_row
 
@@ -477,6 +478,122 @@ def test_cli_band_outside_positive_finite_is_a_usage_error(capsys, command,
     err = capsys.readouterr().err
     assert "band must satisfy 0 < f_lo < f_hi" in err
     assert "Traceback" not in err
+
+
+NARROW_BAND = ["--band-lo=280GHz", "--band-hi=280.000000000001GHz"]
+
+
+def test_cli_analyze_band_too_narrow_for_its_points(capsys):
+    # 211 samples over 1 mHz would repeat frequencies: rejected as a grid,
+    # not later as an unsorted spectrum.
+    assert cli_main(["analyze", "--f0", "280GHz", "--ef", "1.2eV",
+                     "--tau", "1.2ps", *NARROW_BAND]) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: band must be wide enough for 211 distinct "
+                   "samples\n")
+
+
+def test_cli_fdtd_check_band_too_narrow_for_its_points(capsys):
+    # Rejected before marching, rather than run on repeated frequencies.
+    assert cli_main(["fdtd-check", "--ef", "1.2eV", "--tau", "1.2ps",
+                     "--resolution", "100", *NARROW_BAND]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: band must be wide enough for 106 "
+                            "distinct samples\n")
+
+
+def test_cli_sweep_band_too_narrow_for_its_points(tmp_path, capsys):
+    # Rejected at parse time with the key and line, before any cell fails
+    # or any file is written.
+    cfg = (ROOT / "paper.cfg").read_text()
+    cfg = cfg.replace("band = 220, 325 GHz",
+                      "band = 280, 280.000000000001 GHz")
+    cfg = cfg.replace("path = paper_out", f"path = {tmp_path / 'out'}")
+    (tmp_path / "narrow.cfg").write_text(cfg)
+    assert cli_main(["sweep", str(tmp_path / "narrow.cfg")]) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: line 15: key 'band': must be wide enough for 211 "
+                   "distinct samples\n")
+    assert sorted(os.listdir(tmp_path)) == ["narrow.cfg"]
+
+
+@pytest.mark.parametrize("threshold, code, message", [
+    (0.01, 0, "within the 0.01 accuracy threshold"),
+    (1e-12, 2, "error exceeds the 1e-12 accuracy threshold"),
+])
+def test_cli_fdtd_check_reports_the_threshold(monkeypatch, capsys, threshold,
+                                              code, message):
+    monkeypatch.setattr(cli, "FDTD_ERROR_THRESHOLD", threshold)
+    assert cli_main(["fdtd-check", "--ef", "1.2eV", "--tau", "1.2ps",
+                     "--resolution", "100", "--points", "11"]) == code
+    captured = capsys.readouterr()
+    assert captured.out.startswith("max_abs_error = ")
+    assert captured.err == message + "\n"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("args, code, message", [
+    # The Drude weight's prefactor underflows to 0 here.
+    (["analyze", "--f0=280GHz", "--temp=1e-300K"], 1,
+     "temperature must be >= 1e-240 K"),
+    # The metal's peak resistance, which scales as h^2, underflows here.
+    (["analyze", "--f0=280GHz", "--h=1e-300um"], 1,
+     "thickness must be >= 1e-150 m"),
+    # The asymmetric quartic's coefficients overflow here.
+    (["spp", "--eps-above=1", "--eps-below=1e300"], 2,
+     "leaves double range"),
+    # k0 underflows to 0 here, and the mode solvers divide by it.
+    (["spp", "--f=1e-320Hz"], 1, "angular_frequency must be >= 1e-290"),
+    # A lossless substrate: its dielectric Q is infinite.
+    (["analyze", "--f0=280GHz", "--tand=0"], 0, ""),
+], ids=["cold-sheet", "thin-substrate", "dense-halfspace",
+        "subnormal-frequency", "lossless-substrate"])
+def test_cli_inputs_that_raised_tracebacks(capsys, args, code, message):
+    assert cli_main([*args, "--ef=1.2eV", "--tau=1.2ps"]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert message in err
+
+
+def test_cli_sweep_reports_failed_cells(monkeypatch, tmp_path, capsys):
+    # No real sweep input fails a single cell: evaluate is made to fail for
+    # the 0.6 eV row. The cells record it, stderr names them, and the rest
+    # is written.
+    def failing(geometry, conductor, band, points):
+        if conductor.sheet is not None and conductor.sheet.fermi_level == 0.6:
+            raise NoBoundModeError("forced failure")
+        return evaluate(geometry, conductor, band, points)
+
+    monkeypatch.setattr(sweep, "evaluate", failing)
+    cells = run_sweep(parse_config(SMALL_CONFIG))
+    assert [c.error for c in cells] == [None, None, None, "forced failure",
+                                        "forced failure"]
+    assert all(c.report is None and c.spectrum is None
+               for c in cells if c.error)
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SMALL_CONFIG.replace("path = out",
+                                        f"path = {tmp_path / 'run'}"))
+    assert cli_main(["sweep", str(cfg), "--quiet"]) == 0
+    assert capsys.readouterr().err == (
+        "cell (graphene, 0.6, 0.3) failed: forced failure\n"
+        "cell (graphene, 0.6, 1.2) failed: forced failure\n")
+    summary = (tmp_path / "run_summary.csv").read_text().splitlines()
+    assert [row.split(",")[:3] for row in summary[1:]] == [
+        ["metal", "", ""], ["graphene", "0.3", "0.3"],
+        ["graphene", "0.3", "1.2"]]
+
+
+def test_main_exits_with_the_cli_code(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["thzpatch", "design", "--f0", "280GHz"])
+    with pytest.raises(SystemExit) as info:
+        cli.main()
+    assert info.value.code == 0
+    assert "f_res_GHz = 280" in capsys.readouterr().out
+    monkeypatch.setattr(sys, "argv", ["thzpatch", "design", "--f0", "0GHz"])
+    with pytest.raises(SystemExit) as info:
+        cli.main()
+    assert info.value.code == 1
 
 
 def test_cli_resize(capsys):
