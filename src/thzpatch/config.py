@@ -42,7 +42,7 @@ from decimal import Decimal, InvalidOperation
 
 from .errors import ConfigError, UnitError, ValidationError, require_grid
 from .materials import GrapheneSheet
-from .patch import FREQUENCY_RANGE_HZ, SubstrateSpec
+from .patch import SubstrateSpec, require_design_frequency
 
 _UNIT_TABLES: dict[str, dict[str, float]] = {
     # canonical units: length m, frequency Hz, energy eV, time ps, temperature K
@@ -203,6 +203,7 @@ _FIELD_KEYS = {
     "rel_permittivity": ("substrate", "rel_permittivity"),
     "loss_tangent": ("substrate", "loss_tangent"),
     "thickness": ("substrate", "thickness"),
+    "frequency": ("design", "frequency"),
     "fermi_level": ("sweep", "fermi_levels"),
     "relaxation_time": ("sweep", "relaxation_times"),
     "temperature": ("sweep", "temperature"),
@@ -276,10 +277,10 @@ def parse_config(text: str) -> RunConfig:
 
     val, ln = get("design", "frequency")
     f_design = parse_quantity(val, "frequency", "frequency", ln)
-    f_min, f_max = FREQUENCY_RANGE_HZ
-    if not (f_min <= f_design <= f_max):
-        raise ConfigError(f"line {ln}: key 'frequency': must be within "
-                          f"[{f_min:.0e}, {f_max:.0e}] Hz")
+    try:
+        require_design_frequency(f_design)
+    except ValidationError as exc:
+        raise in_context(exc) from None
 
     val, ln = get("sweep", "fermi_levels")
     fermi = parse_quantity_list(val, "energy", "fermi_levels", ln)

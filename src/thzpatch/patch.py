@@ -109,6 +109,14 @@ def kinetic_pull(sheet: GrapheneSheet, substrate: SubstrateSpec) -> float:
     return math.sqrt(1 + sheet_impedance(sheet).kinetic_inductance / l_m)
 
 
+def require_design_frequency(frequency: float) -> None:
+    """The design frequency rule of design_patch and the config."""
+    lo, hi = FREQUENCY_RANGE_HZ
+    if not lo <= frequency <= hi:
+        raise ValidationError(f"must be within [{lo:.0e}, {hi:.0e}] Hz",
+                              field="frequency")
+
+
 def design_patch(target_frequency: float,
                  substrate: SubstrateSpec) -> PatchGeometry:
     """Design a patch resonant at target_frequency (Hz) on the substrate.
@@ -116,11 +124,7 @@ def design_patch(target_frequency: float,
     Raises InfeasibleDesignError when the fringing extension eats the whole
     resonant length (electrically thick substrate at this frequency).
     """
-    lo, hi = FREQUENCY_RANGE_HZ
-    if not (lo <= target_frequency <= hi):
-        raise ValidationError(
-            f"target_frequency {target_frequency:.4g} Hz outside "
-            f"[{lo:.0e}, {hi:.0e}] Hz")
+    require_design_frequency(target_frequency)
     c = CODATA2018.light_speed
     eps_r = substrate.rel_permittivity
     width = c / (2 * target_frequency) * math.sqrt(2 / (eps_r + 1))

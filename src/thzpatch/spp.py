@@ -11,13 +11,17 @@ Two solvers are provided:
 
       eps_a / kappa_a + eps_b / kappa_b = -i sigma / (w eps0),
 
-  with kappa_i = sqrt(q^2 - eps_i k0^2) on the Re >= 0 branch, from the
-  four roots of the quartic that squaring it gives.
+  with kappa_i = sqrt(q^2 - eps_i k0^2) on the Re >= 0 branch. It is the
+  same with the half-spaces swapped, so the solver names the denser one a
+  and works in u = kappa_a/k0 alone: the quartic that squaring the
+  relation gives, the polish of its root and the light-line test are all
+  in u, and q = k0 sqrt(u^2 + eps_a) is formed last.
 
-A mode is bound only above the light line of the denser half-space; below
-it the wave leaks into that half-space (Hanson, J. Appl. Phys. 103, 064302,
-2008). A sheet that is too conductive or too lossy to bind a mode raises
-NoBoundModeError; sweeps record that per cell instead of aborting.
+A mode is bound only if it decays on both sides and lies above the light
+line of the denser half-space, where u = 0; below it the wave leaks into
+that half-space (Hanson, J. Appl. Phys. 103, 064302, 2008). A sheet with
+gain (Re sigma < 0), or one too conductive or too lossy to bind a mode,
+raises NoBoundModeError; sweeps record that per cell instead of aborting.
 """
 
 from __future__ import annotations
@@ -66,25 +70,33 @@ class SppSolution:
 
 
 def _bound_mode(modes: Iterable[tuple[complex, complex]], k0: float,
-                eps: float) -> complex:
-    """The first q, taken with Im q >= 0, that lies above k0 sqrt(eps).
+                eps: float) -> tuple[complex, complex]:
+    """The first (q, u) above the light line k0 sqrt(eps) whose decay
+    constant u = kappa/k0 into that half-space has Re u > 0.
 
-    Each mode comes with (kappa/k0)^2 = (q/k0)^2 - eps on the line's side,
-    found without that cancelling difference. Near the line Re q carries
-    more rounding than its distance from it, so the side is read from the
-    excess Re q/k0 - sqrt(eps) = Re((kappa/k0)^2 / (q/k0 + sqrt(eps))),
-    and the mode counts as bound only if the excess survives being added
-    to sqrt(eps), and Re q/k0 exceeds sqrt(eps) too. A smaller excess
-    leaves no trace in q: such a mode cannot be told from the line.
+    Near the line Re q carries more rounding than its distance from it, so
+    the mode counts as bound only if Re q/k0 exceeds sqrt(eps) and so does
+    sqrt(eps) plus the excess Re(u^2/(q/k0 + sqrt(eps))), found without
+    that cancellation: a smaller excess leaves no trace in q.
     """
     line = math.sqrt(eps)
-    for q, decay_sq in modes:
-        q = q if q.imag >= 0 else -q
-        n = q / k0
-        if n.real > line and line + (decay_sq / (n + line)).real > line:
-            return q
+    for q, u in modes:
+        excess = (u * u / (q / k0 + line)).real
+        if u.real > 0 and q.real / k0 > line and line + excess > line:
+            return q, u
     raise NoBoundModeError(f"no Re q exceeds k0*sqrt(eps) = {k0 * line:.6g} "
                            "rad/m; sheet does not bind a TM mode here")
+
+
+def _free_space_wavenumber(sigma: SheetConductivity,
+                           angular_frequency: float) -> float:
+    """k0, for a sheet that can bind a mode: one of zero conductivity binds
+    none, and one with gain (Re sigma < 0) none that decays."""
+    require_frequency(angular_frequency, "angular_frequency")
+    if sigma.real_part < 0 or sigma.value == 0:
+        raise NoBoundModeError(f"sigma = {sigma.value:.3g} S binds no mode: "
+                               "it is zero or has gain (Re sigma < 0)")
+    return angular_frequency / CODATA2018.light_speed
 
 
 def _solution_from_q(q: complex, k0: float) -> SppSolution:
@@ -96,31 +108,19 @@ def spp_wavenumber_symmetric(sigma: SheetConductivity, eps: float,
                              angular_frequency: float) -> SppSolution:
     """Closed-form TM mode of a sheet embedded in a uniform dielectric.
 
-    The square-root branch is fixed by Im q >= 0 (decay along propagation).
-    Raises NoBoundModeError when Re q does not exceed the light line of the
-    surrounding medium.
+    Its decay constant is kappa/k0 = i sqrt(eps) ratio, ratio = 2
+    sqrt(eps)/(eta0 sigma), whose Re > 0 says the sheet is inductive.
+    Raises NoBoundModeError for a capacitive sheet, one with gain, or a
+    Re q on or under the light line of the surrounding medium.
     """
     if not (cmath.isfinite(eps) and eps >= 1.0):
         raise ValidationError("eps must be finite and >= 1")
-    require_frequency(angular_frequency, "angular_frequency")
-    if sigma.value == 0:
-        raise NoBoundModeError("a sheet of zero conductivity binds no mode")
-    k0 = angular_frequency / CODATA2018.light_speed
-    ratio = 2 * cmath.sqrt(eps) / (CODATA2018.free_space_impedance
-                                   * sigma.value)
-    q = k0 * cmath.sqrt(eps) * cmath.sqrt(1 - ratio * ratio)
-    return _solution_from_q(_bound_mode([(q, -eps * ratio * ratio)], k0,
-                                        eps), k0)
-
-
-def _relation(q: complex, k0: float, ea: float,
-              eb: float) -> tuple[complex, complex]:
-    """eps_a/kappa_a + eps_b/kappa_b at q, and its derivative in q."""
-    ka = cmath.sqrt(q * q - ea * k0 * k0)
-    kb = cmath.sqrt(q * q - eb * k0 * k0)
-    # Products, not **3: complex ** raises OverflowError where * gives inf.
-    return (ea / ka + eb / kb,
-            -q * (ea / (ka * ka * ka) + eb / (kb * kb * kb)))
+    k0 = _free_space_wavenumber(sigma, angular_frequency)
+    root = cmath.sqrt(eps)
+    ratio = 2 * root / (CODATA2018.free_space_impedance * sigma.value)
+    q = k0 * root * cmath.sqrt(1 - ratio * ratio)
+    q, _ = _bound_mode([(q, 1j * root * ratio)], k0, eps)
+    return _solution_from_q(q, k0)
 
 
 def spp_wavenumber_asymmetric(sigma: SheetConductivity,
@@ -128,55 +128,50 @@ def spp_wavenumber_asymmetric(sigma: SheetConductivity,
                               angular_frequency: float) -> SppSolution:
     """TM mode of a sheet between two different dielectrics.
 
-    In u = kappa_a/k0 and r = -i sigma k0/(w eps0) = -i sigma/(c eps0) the
-    relation reads eps_a/u + eps_b/v = r, so v = kappa_b/k0 =
-    eps_b u/(r u - eps_a); with v^2 = u^2 + eps_a - eps_b it becomes the
-    quartic (u^2 + eps_a - eps_b)(r u - eps_a)^2 = eps_b^2 u^2. Its roots
-    with Re u > 0 and Re v > 0 are the modes; the bound one gets two
-    Newton steps in q, and a relative residual left at NEWTON_REL_RESIDUAL
-    or above raises ConvergenceError. Near the denser light line v is
-    small, and v from the relation keeps the digits that u^2 + eps_a -
-    eps_b cancels away, so that v decides which side of the line the mode
-    is on (u when the denser half-space is above).
+    With eps_a the denser permittivity, u = kappa_a/k0 and r = -i sigma
+    k0/(w eps0) = -i sigma/(c eps0), the relation reads eps_a/u + eps_b/v =
+    r, where v = kappa_b/k0 = sqrt(u^2 + eps_a - eps_b), the root of a sum,
+    keeps its digits as u goes to 0. With v = eps_b u/(r u - eps_a) from
+    the relation it becomes the quartic (u^2 + eps_a - eps_b)(r u - eps_a)^2
+    = eps_b^2 u^2. Its roots with Re v > 0 are the modes; the bound one gets
+    two Newton steps in u, and a relative residual left at
+    NEWTON_REL_RESIDUAL or above raises ConvergenceError.
     """
     # Imported here so that importing this module does not load numpy.
     import numpy as np
 
-    require_frequency(angular_frequency, "angular_frequency")
-    k0 = angular_frequency / CODATA2018.light_speed
-    ea, eb = halfspaces.eps_above, halfspaces.eps_below
+    k0 = _free_space_wavenumber(sigma, angular_frequency)
+    eb, ea = sorted((halfspaces.eps_above, halfspaces.eps_below))
     r = -1j * sigma.value / (CODATA2018.light_speed
                              * CODATA2018.vacuum_permittivity)
-    rhs, d = r / k0, ea - eb
+    d = ea - eb
     coeffs = [r * r, -2 * r * ea, ea * ea + d * r * r - eb * eb,
               -2 * r * ea * d, d * ea * ea]
-    if not 0 < abs(coeffs[0]) < math.inf:  # sigma = 0, or r^2 out of range
+    if not 0 < abs(coeffs[0]) < math.inf:  # r^2 out of double range
         raise NoBoundModeError(f"sigma = {sigma.value:.3g} S binds no mode")
     row = [-c / coeffs[0] for c in coeffs[1:]]
     if not all(map(cmath.isfinite, row)):
-        raise NumericalError(f"the mode equation of sigma = "
-                             f"{sigma.value:.3g} S between eps {ea:g} and "
-                             f"{eb:g} leaves double range")
+        raise NumericalError(f"the mode equation of sigma = {sigma.value:.3g}"
+                             f" S between eps {halfspaces.eps_above:g} and "
+                             f"{halfspaces.eps_below:g} leaves double range")
     # As np.roots does it (companion matrix eigenvalues), minus its overhead.
     companion = np.eye(4, k=-1, dtype=complex)
     companion[0] = row
-    modes = []
-    for u in np.linalg.eigvals(companion).tolist():
-        v = eb * u / (r * u - ea)
-        if u.real > 0 and v.real > 0:
-            dense = v if eb >= ea else u
-            modes.append((k0 * cmath.sqrt(u * u + ea), dense * dense))
-    q = _bound_mode(modes, k0, max(ea, eb))
+    _, u = _bound_mode([(k0 * cmath.sqrt(u * u + ea), u)
+                        for u in np.linalg.eigvals(companion).tolist()
+                        if (eb * u / (r * u - ea)).real > 0], k0, ea)
     for _ in range(2):
-        lhs, slope = _relation(q, k0, ea, eb)
-        if slope == 0:  # both kappa^3 overflowed; the residual tells
+        v = cmath.sqrt(u * u + d)
+        # Products, not **3: complex ** raises OverflowError where * gives inf.
+        slope = ea / (u * u) + eb * u / (v * v * v)
+        if slope == 0:  # both terms left double range; the residual tells
             break
-        q -= (lhs - rhs) / slope
-    residual = abs(_relation(q, k0, ea, eb)[0] - rhs) / abs(rhs)
+        u += (ea / u + eb / v - r) / slope
+    residual = abs(ea / u + eb / cmath.sqrt(u * u + d) - r) / abs(r)
     if not residual < NEWTON_REL_RESIDUAL:
         raise ConvergenceError(f"polished mode has relative residual "
                                f"{residual:.3e}", last_residual=residual)
-    return _solution_from_q(q, k0)
+    return _solution_from_q(k0 * cmath.sqrt(u * u + ea), k0)
 
 
 @dataclass(frozen=True)

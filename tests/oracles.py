@@ -70,36 +70,40 @@ def spp_symmetric(sig, eps, f_hz):
 def spp_asymmetric(sig, eps_a, eps_b, f_hz):
     """Root of eps_a/kappa_a + eps_b/kappa_b = -i sigma/(w eps0).
 
-    Damped Newton with the analytic derivative; the secant solver in
-    mp.findroot stalls near the kappa_b branch point for weak sheets.
+    The relation is the same with the half-spaces swapped, so it is solved
+    in u = kappa/k0 of the denser one: eps_d/u + eps_l/sqrt(u^2 + d) = r,
+    with d = eps_d - eps_l and r = -i sigma/(c eps0). u goes to 0 at the
+    denser light line, where q^2 - eps_d k0^2 would cancel. Damped Newton
+    with the analytic derivative, from the symmetric root u = (eps_a +
+    eps_b)/r. The root must decay on both sides (Re kappa > 0) and run
+    forward (Re q > 0).
     """
-    w = 2 * mp.pi * mpf(f_hz)
-    k0 = w / C0
-    rhs = -mpc(0, 1) * sig / (w * EPS0)
+    k0 = 2 * mp.pi * mpf(f_hz) / C0
+    dense, light = max(mpf(eps_a), mpf(eps_b)), min(mpf(eps_a), mpf(eps_b))
+    d = dense - light
+    r = -mpc(0, 1) * sig / (C0 * EPS0)
 
-    def residual(q):
-        ka = mp.sqrt(q**2 - eps_a * k0**2)
-        kb = mp.sqrt(q**2 - eps_b * k0**2)
-        return eps_a / ka + eps_b / kb - rhs
+    def residual(u):
+        return dense / u + light / mp.sqrt(u**2 + d) - r
 
-    def derivative(q):
-        ka = mp.sqrt(q**2 - eps_a * k0**2)
-        kb = mp.sqrt(q**2 - eps_b * k0**2)
-        return -q * (eps_a / ka**3 + eps_b / kb**3)
+    def derivative(u):
+        return -dense / u**2 - light * u / mp.sqrt(u**2 + d)**3
 
-    q = spp_symmetric(sig, (mpf(eps_a) + mpf(eps_b)) / 2, f_hz)
+    u = (dense + light) / r
     for _ in range(200):
-        r = residual(q)
-        if abs(r) / abs(rhs) < mpf("1e-25"):
+        res = residual(u)
+        if abs(res) / abs(r) < mpf("1e-25"):
             break
-        step = -r / derivative(q)
+        step = -res / derivative(u)
         scale = mpf(1)
-        while abs(residual(q + scale * step)) >= abs(r) and scale > mpf("1e-12"):
+        while abs(residual(u + scale * step)) >= abs(res) and scale > mpf("1e-12"):
             scale /= 2
-        q = q + scale * step
-    if mp.im(q) < 0:
-        q = -q
-    return q, abs(residual(q)) / abs(rhs)
+        u = u + scale * step
+    q = k0 * mp.sqrt(u**2 + dense)
+    if not (mp.re(u) > 0 and mp.re(mp.sqrt(u**2 + d)) > 0 and mp.re(q) > 0):
+        raise ArithmeticError(f"the root for sigma = {sig} grows or runs "
+                              "backward")
+    return q, abs(residual(u)) / abs(r)
 
 
 def design(f_hz, eps_r, h):
@@ -267,6 +271,15 @@ def main():
                                 "280e9")
         show(f"q/k0({ef} eV)", q / k0)
         show(f"rel residual({ef} eV)", res)
+
+    print("\n# SPP asymmetric, lossless sheets at 280 GHz (sigma = i s)")
+    for s, eps_a, eps_b in (("0.01", 1, "3.5"), ("0.01", "3.5", 1),
+                            ("1e5", 1, "3.5"), ("1e2", "3.5", 1),
+                            (357262.96343110607, 4.09693691651451,
+                             6.753590727802719)):
+        q, res = spp_asymmetric(mpc(0, s), mpf(eps_a), mpf(eps_b), "280e9")
+        show(f"q/k0({s} S, eps {eps_a} / {eps_b})", q / k0)
+        show(f"rel residual({s} S, eps {eps_a} / {eps_b})", res)
 
     print("\n# Patch design at 280 GHz (eps_r 3.5, h 50 um)")
     w, e_eff, dl, length = design("280e9", "3.5", "50e-6")

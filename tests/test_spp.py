@@ -245,6 +245,104 @@ def test_sheet_without_conductivity_binds_no_mode():
                                   W_280)
 
 
+LOSSLESS_CASES = [
+    # (s of sigma = i s in S, eps above, eps below) -> q / k0 at 280 GHz
+    ((0.01, 1.0, 3.5), 2.15950316448),
+    ((0.01, 3.5, 1.0), 2.15950316448),
+    # Within about 1e-15 of the denser light line sqrt(3.5).
+    ((1e5, 1.0, 3.5), 1.87082869339),
+    ((1e2, 3.5, 1.0), 1.87082869569),
+    ((357262.96343110607, 4.09693691651451, 6.753590727802719),
+     2.59876715536),
+]
+
+
+@pytest.mark.parametrize("case,expected", LOSSLESS_CASES)
+def test_lossless_sheet_binds_its_mode_in_either_order(case, expected):
+    s, eps_above, eps_below = case
+    sol = spp_wavenumber_asymmetric(
+        SheetConductivity(0.0, s), DielectricHalfspaces(eps_above, eps_below),
+        W_280)
+    q = sol.wavenumber
+    assert q.real / K0_280 == pytest.approx(expected, rel=1e-11)
+    assert abs(q.imag) <= 1e-12 * abs(q)
+
+
+def lossless_root(s, eps_dense, eps_light):
+    """u = kappa/k0 of the denser side for a lossless sheet, sigma = i s.
+
+    eps_d/u + eps_l/sqrt(u^2 + eps_d - eps_l) falls monotonically from inf
+    to 0 over u > 0, so a bisection on a log scale brackets the one root
+    to adjacent doubles. The relation is read in decay constants: the
+    q-space residual cancels near the light line.
+    """
+    r = s / (C0 * EPS0)
+    d = eps_dense - eps_light
+    lo, hi = 1e-20, 1e20
+    for _ in range(400):
+        mid = math.sqrt(lo) * math.sqrt(hi)
+        if mid in (lo, hi):
+            break
+        if eps_dense / mid + eps_light / math.sqrt(mid * mid + d) > r:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@given(log_s=st.floats(-4.0, 6.0), ea=st.floats(1.0, 12.0),
+       eb=st.floats(1.0, 12.0))
+@settings(max_examples=200, deadline=None)
+def test_lossless_sheet_mode_is_returned_unless_on_the_line(log_s, ea, eb):
+    # A lossless inductive sheet binds exactly one mode. The solver returns
+    # it, or says there is none only when it lies within rounding of the
+    # denser light line.
+    s = 10.0 ** log_s
+    dense = max(ea, eb)
+    u = lossless_root(s, dense, min(ea, eb))
+    line = math.sqrt(dense)
+    n = math.sqrt(u * u + dense)
+    try:
+        sol = spp_wavenumber_asymmetric(SheetConductivity(0.0, s),
+                                        DielectricHalfspaces(ea, eb), W_280)
+    except NoBoundModeError:
+        assert u * u / (n + line) / line < 1e-15
+        return
+    q = sol.wavenumber
+    assert q.real / K0_280 == pytest.approx(n, rel=2e-15)
+    assert abs(q.imag) <= 1e-12 * abs(q)
+
+
+@pytest.mark.parametrize("value", [complex(-1e-6, 0.01), complex(-0.5, 0.5),
+                                   complex(-2.0, 1e-3), complex(-1e-3, -1e-3)])
+def test_sheet_with_gain_binds_no_mode(value):
+    # Re sigma < 0 decides it, whatever the rounding of Im q. A capacitive
+    # sheet with gain has the symmetric root of its passive mirror, but
+    # with a decay constant of Re < 0: its fields grow away from the sheet.
+    sigma = SheetConductivity(value.real, value.imag)
+    with pytest.raises(NoBoundModeError):
+        spp_wavenumber_symmetric(sigma, 1.0, W_280)
+    for halves in ((1.0, 3.5), (3.5, 1.0)):
+        with pytest.raises(NoBoundModeError):
+            spp_wavenumber_asymmetric(sigma, DielectricHalfspaces(*halves),
+                                      W_280)
+
+
+@pytest.mark.parametrize("value", [complex(0.0, -1e3), complex(0.0, -0.01),
+                                   complex(1e-3, -0.5)])
+def test_capacitive_sheet_binds_no_tm_mode(value):
+    # The symmetric root of a capacitive sheet has kappa/k0 = 2 eps/r with
+    # Re < 0, lossless or not: fields that grow away from the sheet.
+    sigma = SheetConductivity(value.real, value.imag)
+    for eps in (1.0, 3.5):
+        with pytest.raises(NoBoundModeError):
+            spp_wavenumber_symmetric(sigma, eps, W_280)
+    for halves in ((1.0, 3.5), (3.5, 1.0)):
+        with pytest.raises(NoBoundModeError):
+            spp_wavenumber_asymmetric(sigma, DielectricHalfspaces(*halves),
+                                      W_280)
+
+
 @pytest.mark.parametrize("w", [0.0, -W_280, math.nan, math.inf])
 def test_solvers_reject_a_frequency_outside_positive_finite(w):
     sigma = graphene_sigma(0.6, 0.6)
