@@ -51,8 +51,8 @@ def require_frequency(value: float, field: str) -> None:
 
 
 # Samples per spectrum. fdtd-check costs most per sample: at tau 5 ps and
-# resolution 400, 1000 samples take 0.9 s of CPU and 90 MiB peak (Python
-# 3.11, one core of a 2-vCPU VM); at resolution 1600, 4.4 s and 93 MiB.
+# resolution 400, 1000 samples take 1.3 s of CPU and 90 MiB peak (Python
+# 3.11, one core of a 2-vCPU VM); at resolution 1600, 6.6 s and 94 MiB.
 MAX_POINTS = 1000
 
 

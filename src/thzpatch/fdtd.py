@@ -12,7 +12,9 @@ for arbitrarily strong sheets:
 A broadband differentiated-Gaussian pulse is launched from a soft source,
 first-order one-way (Mur) boundaries terminate the line, and reflection /
 transmission spectra are formed by discrete Fourier transform against a
-sheet-free reference run. The reflected-wave probe sits between source and
+sheet-free reference run. The reference does not depend on the sheet, so it
+is marched once per grid, as long as the longest run asked for so far, and
+each run takes a slice of it. The reflected-wave probe sits between source and
 sheet, so its spectrum is phase-shifted back to the sheet plane using the
 grid's numerical dispersion relation k = (2/dx) asin(sin(pi f dt) / S).
 
@@ -28,14 +30,16 @@ r = -s/(1+s), t = 1/(1+s) with s = eta0 sigma / 2.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .constants import CODATA2018
-from .errors import InstabilityError, ValidationError, require_grid
-from .materials import GrapheneSheet, drude_weight, kubo_sigma
+from .errors import (InstabilityError, ValidationError, require_frequency,
+                     require_grid)
+from .materials import GrapheneSheet, drude_weight
 
 DESIGN_F_MAX = 325e9            # resolution counts cells per wavelength here
 SOURCE_CENTER_HZ = 272.5e9
@@ -46,9 +50,9 @@ RINGDOWN_WIDTHS = 8.0
 BASE_RESOLUTION = 100
 # Time grows linearly with resolution, memory does not (the DFT kernel is
 # built in blocks): at tau = 5 ps, the longest relaxation time GrapheneSheet
-# accepts, and 1000 points, resolution 400 takes 0.9 s of CPU and 90 MiB
-# peak, resolution 1600 4.4 s and 93 MiB (Python 3.11, numpy 2.4, one core
-# of a 2-vCPU Xeon VM).
+# accepts, and 1000 points, a first run at resolution 400 takes 1.3 s of CPU
+# and 90 MiB peak, at resolution 1600 6.6 s and 94 MiB (median of 5 fresh
+# processes; Python 3.11, numpy 2.4, one core of a 2-vCPU Xeon VM).
 MAX_RESOLUTION = 1600
 # Bytes of complex DFT kernel built at once; the transients while it is
 # built take about twice that.
@@ -143,29 +147,65 @@ def _march(grid: Grid1D, drude_a: float, tau: float, n_steps: int,
     j_fac = (dt / (2 * eps0 * dx)) * (1 + exp_fac)
     guard = INSTABILITY_FACTOR * SOURCE_PEAK
 
-    rec = np.empty((4, n_steps))
+    # The differences go into buffers made once, and each step is one row
+    # of rec: the same arithmetic as whole-array expressions, in the same
+    # order, with fewer temporaries per step.
+    dh = np.empty(hy.size)
+    de = np.empty(ez.size - 2)
+    ez_hi, ez_lo, ez_in = ez[1:], ez[:-1], ez[1:-1]
+    hy_hi, hy_lo = hy[1:], hy[:-1]
+    item, exp, subtract = ez.item, math.exp, np.subtract
+    half_drive = drive_fac * 0.5
+    rec = np.empty((n_steps, 4))
     for n in range(n_steps):
-        hy += ch * (ez[1:] - ez[:-1])
-        ez_l, ez_r = ez.item(1), ez.item(-2)
-        ez0_old, ezn_old = ez.item(0), ez.item(-1)
-        e_sh_old = ez.item(n_sh)
-        ez[1:-1] += ce * (hy[1:] - hy[:-1])
-        e_sh = (ez.item(n_sh) - g_quarter * e_sh_old - j_fac * js) / g_norm
+        subtract(ez_hi, ez_lo, dh)
+        dh *= ch
+        hy += dh
+        ez_l, ez_r = item(1), item(-2)
+        ez0_old, ezn_old = item(0), item(-1)
+        e_sh_old = item(n_sh)
+        subtract(hy_hi, hy_lo, de)
+        de *= ce
+        ez_in += de
+        e_sh = (item(n_sh) - g_quarter * e_sh_old - j_fac * js) / g_norm
         ez[n_sh] = e_sh
-        js = exp_fac * js + drive_fac * 0.5 * (e_sh_old + e_sh)
+        js = exp_fac * js + half_drive * (e_sh_old + e_sh)
         tt = ((n + 1) * dt - t0) / t_w
-        ez[src] += tt * math.exp(-0.5 * tt * tt)
-        ez[0] = ez_l + beta * (ez.item(1) - ez0_old)
-        ez[-1] = ez_r + beta * (ez.item(-2) - ezn_old)
+        ez[src] += tt * exp(-0.5 * tt * tt)
+        ez[0] = ez_l + beta * (item(1) - ez0_old)
+        ez[-1] = ez_r + beta * (item(-2) - ezn_old)
         if abs(e_sh) > guard:
             raise InstabilityError(
                 f"field at the sheet node exceeded {INSTABILITY_FACTOR:.0e} "
                 f"times the source peak at step {n}")
-        rec[0, n] = ez.item(probe_r)
-        rec[1, n] = ez.item(probe_t)
-        rec[2, n] = e_sh
-        rec[3, n] = js
-    return rec
+        rec[n] = (item(probe_r), item(probe_t), e_sh, js)
+    return np.ascontiguousarray(rec.T)
+
+
+# Sheet-free records by (grid, t_w, t0), least recently used first.
+_REFERENCES: dict[tuple[Grid1D, float, float], np.ndarray] = {}
+_REFERENCES_LOCK = threading.Lock()
+REFERENCE_GRIDS = 4     # 4 x 1.6 MB at resolution 1600 and tau = 5 ps
+
+
+def _reference(grid: Grid1D, n_steps: int, t_w: float,
+               t0: float) -> np.ndarray:
+    """_march's sheet-free record of n_steps, marched once per grid.
+
+    With drude_a = 0 the record does not depend on tau, and a shorter march
+    is a prefix of a longer one. So each grid keeps one read-only record,
+    as long as the longest run asked for so far, and a run takes a slice.
+    """
+    key = (grid, t_w, t0)
+    with _REFERENCES_LOCK:
+        rec = _REFERENCES.pop(key, None)
+        if rec is None or rec.shape[1] < n_steps:
+            rec = _march(grid, 0.0, 1.0, n_steps, t_w, t0)  # any tau
+            rec.flags.writeable = False
+        _REFERENCES[key] = rec
+        while len(_REFERENCES) > REFERENCE_GRIDS:
+            del _REFERENCES[next(iter(_REFERENCES))]
+    return rec[:, :n_steps]
 
 
 def _spectra(rec: np.ndarray, freqs: np.ndarray, dt: float) -> np.ndarray:
@@ -208,7 +248,7 @@ def run_drude_scattering(drude_a: float, tau: float, grid: Grid1D,
     t_end = t0 + transit + RINGDOWN_TAUS * tau + RINGDOWN_WIDTHS * t_w
     n_steps = int(math.ceil(t_end / grid.time_step))
 
-    ref = _march(grid, 0.0, tau, n_steps, t_w, t0)
+    ref = _reference(grid, n_steps, t_w, t0)
     shr = _march(grid, drude_a, tau, n_steps, t_w, t0)
     spectra = _spectra(np.vstack((ref, shr)), freqs, grid.time_step)
     ref_f, shr_f = spectra[:, :4], spectra[:, 4:]
@@ -247,8 +287,12 @@ def analytic_sheet_coefficients(sheet: GrapheneSheet,
     freqs = np.asarray(frequencies, dtype=float)
     if freqs.size == 0:
         raise ValidationError("frequency grid must be non-empty")
-    sigma = np.array([kubo_sigma(sheet, 2 * math.pi * f).value
-                      for f in freqs])
+    omega = 2 * math.pi * freqs
+    # kubo_sigma's frequency rule and formula, on the whole array; a NaN
+    # reaches both ends.
+    for end in (omega.min(), omega.max()):
+        require_frequency(float(end), "angular_frequency")
+    sigma = drude_weight(sheet) * 1j / (omega + 1j / sheet.relaxation_time)
     s = CODATA2018.free_space_impedance * sigma / 2
     transmission = 1 / (1 + s)
     reflection = -s / (1 + s)

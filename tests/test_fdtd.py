@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from thzpatch import (GrapheneSheet, Grid1D, InstabilityError,
                       ValidationError, analytic_sheet_coefficients,
                       compare_fdtd_analytic, refinement_study,
-                      run_drude_scattering, run_sheet_scattering)
+                      kubo_sigma, run_drude_scattering, run_sheet_scattering)
+from thzpatch.constants import CODATA2018
 from thzpatch.errors import MAX_POINTS
 from thzpatch import fdtd
 from thzpatch.fdtd import COURANT_NUMBER, MAX_RESOLUTION
@@ -89,11 +90,69 @@ def test_band_validation():
 
 def test_instability_guard_stops_the_march(monkeypatch):
     # No real input diverges (the sheet update is unconditionally stable),
-    # so the guard is lowered below the pulse itself.
+    # so the guard is lowered below the pulse itself. The reference is
+    # cached first, so it is the sheet march that trips the guard.
+    grid = Grid1D.for_resolution(100)
+    run_sheet_scattering(SHEET, grid, BAND, points=11)
+    assert any(key[0] == grid for key in fdtd._REFERENCES)
     monkeypatch.setattr(fdtd, "INSTABILITY_FACTOR", 1e-6)
     with pytest.raises(InstabilityError, match="exceeded 1e-06 times the "
                                                "source peak at step"):
-        run_sheet_scattering(SHEET, Grid1D.for_resolution(100), BAND)
+        run_sheet_scattering(SHEET, grid, BAND)
+
+
+def _arrays(result):
+    return (result.frequencies, result.reflection, result.transmission,
+            result.absorption)
+
+
+def test_reference_cache_does_not_change_results(monkeypatch):
+    # The reference is marched once per grid at the longest length asked
+    # for; a longer tau rings down longer, so it needs more steps.
+    grid = Grid1D.for_resolution(100)
+    long_tau, short_tau = GrapheneSheet(1.2, 2e-12), GrapheneSheet(0.3, 3e-13)
+    fresh = {}
+    for sheet in (long_tau, short_tau):
+        monkeypatch.setattr(fdtd, "_REFERENCES", {})
+        fresh[sheet] = run_sheet_scattering(sheet, grid, BAND, points=31)
+    for order in ((long_tau, short_tau), (short_tau, long_tau)):
+        monkeypatch.setattr(fdtd, "_REFERENCES", {})
+        records = []
+        for sheet in order:
+            cached = run_sheet_scattering(sheet, grid, BAND, points=31)
+            for got, want in zip(_arrays(cached), _arrays(fresh[sheet])):
+                assert np.array_equal(got, want)
+            (rec,) = fdtd._REFERENCES.values()
+            records.append(rec)
+        # Long first: the short run slices the same record. Short first:
+        # the long run re-marches a longer one.
+        assert (records[1] is records[0]) == (order[0] is long_tau)
+
+
+def test_cached_reference_is_read_only_and_bounded(monkeypatch):
+    monkeypatch.setattr(fdtd, "_REFERENCES", {})
+    t_w = 1 / (2 * math.pi * fdtd.SOURCE_CENTER_HZ)
+    t0 = 6 * t_w
+    first = fdtd._reference(Grid1D(100), 300, t_w, t0)
+    assert first.shape == (4, 300)
+    assert np.any(first[0] != 0)    # the pulse has reached the probe
+    with pytest.raises(ValueError, match="read-only"):
+        first[0, 0] = 1.0
+    # A shorter run is served by a slice of the record; a longer one
+    # re-marches, and its record starts with the shorter one.
+    assert np.shares_memory(fdtd._reference(Grid1D(100), 150, t_w, t0),
+                            first)
+    longer = fdtd._reference(Grid1D(100), 450, t_w, t0)
+    assert np.array_equal(longer[:, :300], first)
+    # Full, then one more grid: the least recently used one goes out.
+    others = list(range(101, 100 + fdtd.REFERENCE_GRIDS))
+    for res in others:
+        fdtd._reference(Grid1D(res), 10, t_w, t0)
+    assert np.shares_memory(fdtd._reference(Grid1D(100), 450, t_w, t0),
+                            longer)
+    fdtd._reference(Grid1D(200), 10, t_w, t0)
+    assert [key[0].resolution for key in fdtd._REFERENCES] \
+        == others[1:] + [100, 200]
 
 
 def test_vacuum_run_is_exact():
@@ -104,6 +163,30 @@ def test_vacuum_run_is_exact():
     assert np.all(res.reflection == 0)
     assert np.max(np.abs(res.transmission - 1)) <= 2 ** -52
     assert np.all(res.absorption == 0)
+
+
+@pytest.mark.parametrize("sheet", [SHEET, GrapheneSheet(0.05, 5e-12, 1.0),
+                                   GrapheneSheet(2.0, 5e-14, 600.0)])
+def test_analytic_coefficients_match_scalar_kubo_sigma(sheet):
+    freqs = np.geomspace(1e6, 1e14, 2001)
+    res = analytic_sheet_coefficients(sheet, freqs)
+    sigma = np.array([kubo_sigma(sheet, 2 * math.pi * f).value
+                      for f in freqs])
+    s = CODATA2018.free_space_impedance * sigma / 2
+    assert np.array_equal(res.transmission, 1 / (1 + s))
+    assert np.array_equal(res.reflection, -s / (1 + s))
+
+
+@pytest.mark.parametrize("freqs, reason", [
+    ([280e9, math.nan], "must be finite and > 0"),
+    ([280e9, math.inf], "must be finite and > 0"),
+    ([-280e9, 280e9], "must be finite and > 0"),
+    ([0.0], "must be finite and > 0"),
+    ([1e-300, 280e9], "must be >= 1e-290")])
+def test_analytic_coefficients_apply_the_frequency_rule(freqs, reason):
+    with pytest.raises(ValidationError,
+                       match=f"^angular_frequency {reason}$"):
+        analytic_sheet_coefficients(SHEET, freqs)
 
 
 def test_analytic_reference_values():

@@ -596,6 +596,30 @@ def test_main_exits_with_the_cli_code(monkeypatch, capsys):
     assert info.value.code == 1
 
 
+def _run_module(*args):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", *args], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+
+
+@pytest.mark.parametrize("module", ["thzpatch", "thzpatch.cli"])
+def test_python_dash_m_runs_the_cli(module):
+    run = _run_module(module, "design", "--f0", "280GHz", "--er", "3.5",
+                      "--tand", "0.0027", "--h", "50um")
+    assert run.returncode == 0, run.stderr
+    values = dict(line.split(" = ")
+                  for line in run.stdout.strip().splitlines())
+    assert float(values["f_res_GHz"]) == pytest.approx(280.0, rel=1e-9)
+    assert float(values["L_um"]) == pytest.approx(262.195061, rel=1e-8)
+    run = _run_module(module, "design", "--f0", "0GHz")
+    assert run.returncode == 1
+    # `-m thzpatch.cli` also gets runpy's warning that the package root has
+    # already imported thzpatch.cli; the error is the last line either way.
+    assert run.stderr.splitlines()[-1].startswith("error: frequency must be")
+    assert "Traceback" not in run.stderr
+
+
 def test_cli_resize(capsys):
     code = cli_main(["resize", "--f0", "280GHz", "--ef", "1.2eV",
                      "--tau", "1.2ps"])
