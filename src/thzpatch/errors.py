@@ -51,8 +51,9 @@ def require_frequency(value: float, field: str) -> None:
 
 
 # Samples per spectrum. fdtd-check costs most per sample: at tau 5 ps and
-# resolution 400, 1000 samples take 1.3 s of CPU and 90 MiB peak (Python
-# 3.11, one core of a 2-vCPU VM); at resolution 1600, 6.6 s and 94 MiB.
+# resolution 400, a first run at 1000 samples takes 0.66 s of CPU and
+# 43 MiB peak (Python 3.11, a 2-vCPU VM); at resolution 1600, 2.3 s and
+# 58 MiB.
 MAX_POINTS = 1000
 
 

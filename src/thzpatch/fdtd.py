@@ -12,11 +12,22 @@ for arbitrarily strong sheets:
 A broadband differentiated-Gaussian pulse is launched from a soft source,
 first-order one-way (Mur) boundaries terminate the line, and reflection /
 transmission spectra are formed by discrete Fourier transform against a
-sheet-free reference run. The reference does not depend on the sheet, so it
-is marched once per grid, as long as the longest run asked for so far, and
-each run takes a slice of it. The reflected-wave probe sits between source and
+sheet-free reference run. The reflected-wave probe sits between source and
 sheet, so its spectrum is phase-shifted back to the sheet plane using the
 grid's numerical dispersion relation k = (2/dx) asin(sin(pi f dt) / S).
+
+Every update of the scheme is linear and time-invariant, so the sheet is
+solved by superposition (the discrete Green's function view of FDTD). Each
+grid is marched twice without a sheet: the source run, which is also the
+reference, and the kick run, a unit field added at the sheet node in the
+first step. Neither depends on the sheet, so both are marched once per
+grid, as long as the longest run asked for so far, and each run takes a
+slice. The sheet run is the source run plus the kick run's response to the
+corrections that the sheet update makes at its node. The sheet update thus
+becomes a scalar recursion on the kick run's field at the sheet, and no
+sheet run marches the grid. The spectra are taken in two levels, an inner
+kernel over about sqrt(steps) samples times outer phases over the blocks,
+so about 2 sqrt(steps) exponentials are evaluated per frequency, not steps.
 
 Absorption is measured independently as the Joule spectrum of the sheet,
 eta0 Re(E J*) / |E_ref|^2, which makes the energy balance
@@ -48,15 +59,13 @@ INSTABILITY_FACTOR = 1e6
 RINGDOWN_TAUS = 16.0
 RINGDOWN_WIDTHS = 8.0
 BASE_RESOLUTION = 100
-# Time grows linearly with resolution, memory does not (the DFT kernel is
-# built in blocks): at tau = 5 ps, the longest relaxation time GrapheneSheet
-# accepts, and 1000 points, a first run at resolution 400 takes 1.3 s of CPU
-# and 90 MiB peak, at resolution 1600 6.6 s and 94 MiB (median of 5 fresh
-# processes; Python 3.11, numpy 2.4, one core of a 2-vCPU Xeon VM).
+# Cost grows faster than the resolution: the two sheet-free marches take
+# cells x steps and the sheet's history sum steps^2 / 2. At tau = 5 ps, the
+# longest relaxation time GrapheneSheet accepts, and 1000 points, a first
+# run at resolution 400 takes 0.66 s of CPU and 43 MiB peak, at resolution
+# 1600 2.3 s and 58 MiB (median of 5 fresh processes, user + system time;
+# Python 3.11, numpy 2.4, a 2-vCPU Xeon VM).
 MAX_RESOLUTION = 1600
-# Bytes of complex DFT kernel built at once; the transients while it is
-# built take about twice that.
-DFT_BLOCK_BYTES = 16 * 2**20
 BASE_PAD_CELLS = 45
 COURANT_NUMBER = 0.99
 
@@ -120,87 +129,81 @@ def _layout(grid: Grid1D) -> tuple[int, int, int]:
     return grid.pad, 2 * grid.pad, 4 * grid.pad
 
 
-def _march(grid: Grid1D, drude_a: float, tau: float, n_steps: int,
-           t_w: float, t0: float) -> np.ndarray:
-    """Advance the grid; rows: E at probe_r, probe_t, sheet, and J.
+def _march(grid: Grid1D, node: int, drive: Sequence[float]) -> np.ndarray:
+    """March the sheet-free grid, adding drive[n] to E at `node` in step n.
 
-    drude_a = 0 gives the sheet-free reference: the sheet update then
-    leaves the node's field as the curl made it and J at 0.
+    The drive goes in after the curl update and before the Mur update.
+    Rows: E at probe_r and probe_t at the end of each step, and E at the
+    sheet node after the curl update and before the drive.
     """
     eps0 = CODATA2018.vacuum_permittivity
     mu0 = CODATA2018.vacuum_permeability
     c = CODATA2018.light_speed
     dx, dt = grid.cell_size, grid.time_step
     n_sh = grid.sheet_index
-    src, probe_r, probe_t = _layout(grid)
+    _, probe_r, probe_t = _layout(grid)
 
     ez = np.zeros(grid.cell_count)
     hy = np.zeros(grid.cell_count - 1)
-    js = 0.0
     ch = dt / (mu0 * dx)
     ce = dt / (eps0 * dx)
     beta = (c * dt - dx) / (c * dt + dx)
-    exp_fac = math.exp(-dt / tau)
-    drive_fac = drude_a * tau * (1 - exp_fac)
-    g = drive_fac * dt / (eps0 * dx)
-    g_quarter, g_norm = g / 4, 1 + g / 4
-    j_fac = (dt / (2 * eps0 * dx)) * (1 + exp_fac)
-    guard = INSTABILITY_FACTOR * SOURCE_PEAK
 
     # The differences go into buffers made once, and each step is one row
-    # of rec: the same arithmetic as whole-array expressions, in the same
-    # order, with fewer temporaries per step.
+    # of rec, with fewer temporaries per step than whole-array expressions.
     dh = np.empty(hy.size)
     de = np.empty(ez.size - 2)
     ez_hi, ez_lo, ez_in = ez[1:], ez[:-1], ez[1:-1]
     hy_hi, hy_lo = hy[1:], hy[:-1]
-    item, exp, subtract = ez.item, math.exp, np.subtract
-    half_drive = drive_fac * 0.5
-    rec = np.empty((n_steps, 4))
-    for n in range(n_steps):
+    item, subtract = ez.item, np.subtract
+    rec = np.empty((len(drive), 3))
+    for n, d in enumerate(drive):
         subtract(ez_hi, ez_lo, dh)
         dh *= ch
         hy += dh
         ez_l, ez_r = item(1), item(-2)
         ez0_old, ezn_old = item(0), item(-1)
-        e_sh_old = item(n_sh)
         subtract(hy_hi, hy_lo, de)
         de *= ce
         ez_in += de
-        e_sh = (item(n_sh) - g_quarter * e_sh_old - j_fac * js) / g_norm
-        ez[n_sh] = e_sh
-        js = exp_fac * js + half_drive * (e_sh_old + e_sh)
-        tt = ((n + 1) * dt - t0) / t_w
-        ez[src] += tt * exp(-0.5 * tt * tt)
+        e_sh = item(n_sh)
+        ez[node] += d
         ez[0] = ez_l + beta * (item(1) - ez0_old)
         ez[-1] = ez_r + beta * (item(-2) - ezn_old)
-        if abs(e_sh) > guard:
-            raise InstabilityError(
-                f"field at the sheet node exceeded {INSTABILITY_FACTOR:.0e} "
-                f"times the source peak at step {n}")
-        rec[n] = (item(probe_r), item(probe_t), e_sh, js)
+        rec[n] = (item(probe_r), item(probe_t), e_sh)
     return np.ascontiguousarray(rec.T)
 
 
 # Sheet-free records by (grid, t_w, t0), least recently used first.
 _REFERENCES: dict[tuple[Grid1D, float, float], np.ndarray] = {}
 _REFERENCES_LOCK = threading.Lock()
-REFERENCE_GRIDS = 4     # 4 x 1.6 MB at resolution 1600 and tau = 5 ps
+REFERENCE_GRIDS = 4     # 6 rows, 4 x 2.4 MB at resolution 1600, tau = 5 ps
 
 
 def _reference(grid: Grid1D, n_steps: int, t_w: float,
                t0: float) -> np.ndarray:
-    """_march's sheet-free record of n_steps, marched once per grid.
+    """The grid's two sheet-free records of n_steps, marched once per grid.
 
-    With drude_a = 0 the record does not depend on tau, and a shorter march
-    is a prefix of a longer one. So each grid keeps one read-only record,
-    as long as the longest run asked for so far, and a run takes a slice.
+    Rows 0-2 are _march's rows for the source run, the differentiated
+    Gaussian driven at the source node; rows 3-5 are those of the kick
+    run, a unit drive at the sheet node in step 0 only. Row 5 is then the
+    kernel G: the field that a unit correction at the sheet in step m
+    leaves there, after the curl update, in step m + k.
+
+    Neither run depends on the sheet, and a shorter march is a prefix of a
+    longer one. So each grid keeps one read-only record, as long as the
+    longest run asked for so far, and a run takes a slice.
     """
     key = (grid, t_w, t0)
     with _REFERENCES_LOCK:
         rec = _REFERENCES.pop(key, None)
         if rec is None or rec.shape[1] < n_steps:
-            rec = _march(grid, 0.0, 1.0, n_steps, t_w, t0)  # any tau
+            dt = grid.time_step
+            tts = [((n + 1) * dt - t0) / t_w for n in range(n_steps)]
+            pulse = [tt * math.exp(-0.5 * tt * tt) for tt in tts]
+            kick = [1.0] + [0.0] * (n_steps - 1)
+            rec = np.vstack((_march(grid, _layout(grid)[0], pulse),
+                             _march(grid, grid.sheet_index, kick)))
             rec.flags.writeable = False
         _REFERENCES[key] = rec
         while len(_REFERENCES) > REFERENCE_GRIDS:
@@ -208,19 +211,73 @@ def _reference(grid: Grid1D, n_steps: int, t_w: float,
     return rec[:, :n_steps]
 
 
-def _spectra(rec: np.ndarray, freqs: np.ndarray, dt: float) -> np.ndarray:
-    """DFT of each recorded row at the sample times (n+1) dt.
+def _sheet(grid: Grid1D, drude_a: float, tau: float,
+           rec: np.ndarray) -> np.ndarray:
+    """The sheet run from _reference's record, by superposition.
 
-    The kernel is built for a block of frequencies at a time, at most
-    DFT_BLOCK_BYTES of it, so memory stays bounded at any points x steps.
+    Every update of the grid is linear and time-invariant, so the sheet
+    run is the source run plus the grid's response to the corrections
+    delta[m] that the sheet update makes to E at its node. The field the
+    curl update leaves at the sheet in step n is then
+    ref[n] + sum_{m<n} G[n-m] delta[m], and the sheet update is a scalar
+    recursion. Rows: E at probe_r and probe_t, E at the sheet, and J.
     """
-    t = (np.arange(rec.shape[1]) + 1) * dt
-    block = max(1, DFT_BLOCK_BYTES // (16 * t.size))
-    out = np.empty((freqs.size, rec.shape[0]), dtype=complex)
-    for lo in range(0, freqs.size, block):
-        kernel = np.exp(2j * np.pi * np.outer(freqs[lo:lo + block], t)) * dt
-        out[lo:lo + block] = kernel @ rec.T
-    return out
+    eps0 = CODATA2018.vacuum_permittivity
+    dx, dt = grid.cell_size, grid.time_step
+    exp_fac = math.exp(-dt / tau)
+    drive_fac = drude_a * tau * (1 - exp_fac)
+    g = drive_fac * dt / (eps0 * dx)
+    g_quarter, g_norm = g / 4, 1 + g / 4
+    j_fac = (dt / (2 * eps0 * dx)) * (1 + exp_fac)
+    half_drive = drive_fac * 0.5
+    guard = INSTABILITY_FACTOR * SOURCE_PEAK
+
+    n_steps = rec.shape[1]
+    g_rev = rec[5, ::-1].copy()
+    delta = np.zeros(n_steps)
+    e_row, j_row = [], []
+    e_sh = js = 0.0
+    for n, e_ref in enumerate(rec[2].tolist()):
+        e_curl = e_ref + float(g_rev[n_steps - 1 - n:-1].dot(delta[:n]))
+        e_sh_old = e_sh
+        e_sh = (e_curl - g_quarter * e_sh_old - j_fac * js) / g_norm
+        delta[n] = e_sh - e_curl
+        js = exp_fac * js + half_drive * (e_sh_old + e_sh)
+        if abs(e_sh) > guard:
+            raise InstabilityError(
+                f"field at the sheet node exceeded {INSTABILITY_FACTOR:.0e} "
+                f"times the source peak at step {n}")
+        e_row.append(e_sh)
+        j_row.append(js)
+    # The probe rows add delta convolved with the kick run's probe rows,
+    # taken by FFT (a direct sum is quadratic in n_steps) at a power of two
+    # of at least 2 n_steps, so the circular wrap misses the first n_steps.
+    size = 1 << (2 * n_steps - 1).bit_length()
+    scattered = np.fft.irfft(np.fft.rfft(rec[3:5], size)
+                             * np.fft.rfft(delta, size), size)
+    return np.vstack((rec[:2] + scattered[:, :n_steps], e_row, j_row))
+
+
+def _spectra(rec: np.ndarray, freqs: np.ndarray, dt: float) -> np.ndarray:
+    """DFT of each recorded row at the sample times (n+1) dt, in two levels.
+
+    With n = j B + m and B about sqrt(n_steps), the kernel factors as
+    exp(2 pi i f (m+1) dt) exp(2 pi i f j B dt): an inner kernel of
+    points x B and outer phases of points x J. So about 2 sqrt(n_steps)
+    exponentials per frequency are evaluated, not n_steps, and a row's
+    intermediate is points x J.
+    """
+    rows, n_steps = rec.shape
+    inner = max(1, math.isqrt(n_steps))
+    blocks = -(-n_steps // inner)
+    padded = np.zeros((rows, blocks * inner))
+    padded[:, :n_steps] = rec
+    phase = 2j * np.pi * freqs[:, None]
+    kernel = np.exp(phase * ((np.arange(inner) + 1) * dt))
+    outer = np.exp(phase * (np.arange(blocks) * (inner * dt)))
+    return np.stack([np.einsum("pj,pj->p", outer,
+                               kernel @ row.reshape(blocks, inner).T)
+                     for row in padded], axis=1) * dt
 
 
 def run_drude_scattering(drude_a: float, tau: float, grid: Grid1D,
@@ -228,8 +285,11 @@ def run_drude_scattering(drude_a: float, tau: float, grid: Grid1D,
                          ) -> SheetScatteringResult:
     """Scattering spectra of a Drude sheet with weight drude_a (S/s).
 
-    drude_a = 0 runs the vacuum check: the sheet update still executes but
-    drives nothing, so r should vanish and t should be 1 to round-off.
+    The sheet run is solved by superposition on the grid's cached source
+    and kick runs (_reference, _sheet), so a run on a warm grid marches
+    nothing. drude_a = 0 runs the vacuum check: the sheet update still runs,
+    but every correction it makes is 0, so the sheet run is the reference to
+    the bit, r is 0 exactly and t is 1 to round-off.
     """
     if not (0 <= drude_a < math.inf and 0 < tau < math.inf):
         raise ValidationError("need finite drude_a >= 0 and tau > 0")
@@ -248,10 +308,10 @@ def run_drude_scattering(drude_a: float, tau: float, grid: Grid1D,
     t_end = t0 + transit + RINGDOWN_TAUS * tau + RINGDOWN_WIDTHS * t_w
     n_steps = int(math.ceil(t_end / grid.time_step))
 
-    ref = _reference(grid, n_steps, t_w, t0)
-    shr = _march(grid, drude_a, tau, n_steps, t_w, t0)
-    spectra = _spectra(np.vstack((ref, shr)), freqs, grid.time_step)
-    ref_f, shr_f = spectra[:, :4], spectra[:, 4:]
+    rec = _reference(grid, n_steps, t_w, t0)
+    shr = _sheet(grid, drude_a, tau, rec)
+    spectra = _spectra(np.vstack((rec[:3], shr)), freqs, grid.time_step)
+    ref_f, shr_f = spectra[:, :3], spectra[:, 3:]
 
     transmission = shr_f[:, 1] / ref_f[:, 1]
     # Shift the scattered-field spectrum from the probe back to the sheet

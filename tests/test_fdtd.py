@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from thzpatch import (GrapheneSheet, Grid1D, InstabilityError,
                       ValidationError, analytic_sheet_coefficients,
-                      compare_fdtd_analytic, refinement_study,
+                      compare_fdtd_analytic, refinement_study, drude_weight,
                       kubo_sigma, run_drude_scattering, run_sheet_scattering)
 from thzpatch.constants import CODATA2018
 from thzpatch.errors import MAX_POINTS
@@ -18,6 +18,8 @@ from thzpatch.fdtd import COURANT_NUMBER, MAX_RESOLUTION
 
 BAND = (220e9, 325e9)
 SHEET = GrapheneSheet(1.2, 1.2e-12)
+T_W = 1 / (2 * math.pi * fdtd.SOURCE_CENTER_HZ)    # run_drude_scattering's
+T0 = 6 * T_W                                       # source width and delay
 
 
 @pytest.fixture(scope="module")
@@ -91,7 +93,7 @@ def test_band_validation():
 def test_instability_guard_stops_the_march(monkeypatch):
     # No real input diverges (the sheet update is unconditionally stable),
     # so the guard is lowered below the pulse itself. The reference is
-    # cached first, so it is the sheet march that trips the guard.
+    # cached first, so it is the sheet update that trips the guard.
     grid = Grid1D.for_resolution(100)
     run_sheet_scattering(SHEET, grid, BAND, points=11)
     assert any(key[0] == grid for key in fdtd._REFERENCES)
@@ -134,8 +136,11 @@ def test_cached_reference_is_read_only_and_bounded(monkeypatch):
     t_w = 1 / (2 * math.pi * fdtd.SOURCE_CENTER_HZ)
     t0 = 6 * t_w
     first = fdtd._reference(Grid1D(100), 300, t_w, t0)
-    assert first.shape == (4, 300)
+    # Three rows of the source run, then three of the kick run.
+    assert first.shape == (6, 300)
     assert np.any(first[0] != 0)    # the pulse has reached the probe
+    assert np.any(first[3] != 0)    # and so has the kick
+    assert first[5, 0] == 0 and first[5, 1] != 0    # G[0] = 0, G[1] != 0
     with pytest.raises(ValueError, match="read-only"):
         first[0, 0] = 1.0
     # A shorter run is served by a slice of the record; a longer one
@@ -239,18 +244,108 @@ def test_fdtd_is_deterministic():
     assert np.array_equal(a.absorption, b.absorption)
 
 
-# 1 byte gives one frequency per block; 72,000 bytes at the 1,128 steps of
-# this resolution-100 run give 3 frequencies per block, the last one short.
-@pytest.mark.parametrize("block_bytes", [1, 72_000])
-def test_dft_in_blocks_matches_the_one_shot_spectra(monkeypatch, block_bytes):
-    grid = Grid1D.for_resolution(100)
-    one_shot = run_sheet_scattering(SHEET, grid, BAND, points=31)
-    monkeypatch.setattr(fdtd, "DFT_BLOCK_BYTES", block_bytes)
-    blocked = run_sheet_scattering(SHEET, grid, BAND, points=31)
-    for field in ("reflection", "transmission", "absorption"):
-        np.testing.assert_allclose(getattr(blocked, field),
-                                   getattr(one_shot, field),
-                                   rtol=1e-12, atol=0)
+@pytest.mark.parametrize("points", [2, 106, 1000])
+@pytest.mark.parametrize("n_steps", [1, 2, 7, 1300, 4097])
+def test_two_level_dft_matches_the_one_kernel_dft(n_steps, points):
+    # 7 and 4097 are not multiples of the inner length (2 and 64).
+    rec = np.random.default_rng(n_steps).standard_normal((7, n_steps))
+    freqs = np.linspace(*BAND, points)
+    dt = Grid1D(100).time_step
+    t = (np.arange(n_steps) + 1) * dt
+    want = (np.exp(2j * np.pi * np.outer(freqs, t)) * dt) @ rec.T
+    got = fdtd._spectra(rec, freqs, dt)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def _direct_march(grid, drude_a, tau, n_steps, t_w, t0):
+    """The sheet run marched node by node with the Drude sheet update.
+
+    Rows: E at probe_r and probe_t, E at the sheet, and J. drude_a = 0
+    gives the sheet-free reference.
+    """
+    eps0 = CODATA2018.vacuum_permittivity
+    mu0 = CODATA2018.vacuum_permeability
+    c = CODATA2018.light_speed
+    dx, dt = grid.cell_size, grid.time_step
+    n_sh = grid.sheet_index
+    src, probe_r, probe_t = fdtd._layout(grid)
+
+    ez = np.zeros(grid.cell_count)
+    hy = np.zeros(grid.cell_count - 1)
+    js = 0.0
+    ch = dt / (mu0 * dx)
+    ce = dt / (eps0 * dx)
+    beta = (c * dt - dx) / (c * dt + dx)
+    exp_fac = math.exp(-dt / tau)
+    drive_fac = drude_a * tau * (1 - exp_fac)
+    g = drive_fac * dt / (eps0 * dx)
+    j_fac = (dt / (2 * eps0 * dx)) * (1 + exp_fac)
+    guard = fdtd.INSTABILITY_FACTOR * fdtd.SOURCE_PEAK
+    rec = np.empty((n_steps, 4))
+    for n in range(n_steps):
+        hy += ch * (ez[1:] - ez[:-1])
+        ez_l, ez_r = ez[1], ez[-2]
+        ez0_old, ezn_old = ez[0], ez[-1]
+        e_sh_old = ez[n_sh]
+        ez[1:-1] += ce * (hy[1:] - hy[:-1])
+        e_sh = (ez[n_sh] - g / 4 * e_sh_old - j_fac * js) / (1 + g / 4)
+        ez[n_sh] = e_sh
+        js = exp_fac * js + drive_fac * 0.5 * (e_sh_old + e_sh)
+        tt = ((n + 1) * dt - t0) / t_w
+        ez[src] += tt * math.exp(-0.5 * tt * tt)
+        ez[0] = ez_l + beta * (ez[1] - ez0_old)
+        ez[-1] = ez_r + beta * (ez[-2] - ezn_old)
+        if abs(e_sh) > guard:
+            raise InstabilityError(
+                f"field at the sheet node exceeded "
+                f"{fdtd.INSTABILITY_FACTOR:.0e} times the source peak at "
+                f"step {n}")
+        rec[n] = (ez[probe_r], ez[probe_t], e_sh, js)
+    return rec.T
+
+
+def _run_length(grid, tau):
+    """run_drude_scattering's step count."""
+    transit = grid.cell_count * grid.cell_size / CODATA2018.light_speed
+    t_end = (T0 + transit + fdtd.RINGDOWN_TAUS * tau
+             + fdtd.RINGDOWN_WIDTHS * T_W)
+    return int(math.ceil(t_end / grid.time_step))
+
+
+@pytest.mark.parametrize("resolution", [100, 200])
+@pytest.mark.parametrize("ef, tau_ps", [(1.2, 1.2), (0.3, 0.3), (2.0, 5.0)])
+def test_superposed_sheet_run_matches_a_direct_march(monkeypatch, ef, tau_ps,
+                                                     resolution):
+    monkeypatch.setattr(fdtd, "_REFERENCES", {})
+    grid = Grid1D(resolution)
+    tau = tau_ps * 1e-12
+    n_steps = _run_length(grid, tau)
+    rec = fdtd._reference(grid, n_steps, T_W, T0)
+    # The source run is the sheet-free march, to the bit.
+    assert np.array_equal(rec[:3],
+                          _direct_march(grid, 0.0, tau, n_steps, T_W, T0)[:3])
+    drude_a = drude_weight(GrapheneSheet(ef, tau))
+    got = fdtd._sheet(grid, drude_a, tau, rec)
+    want = _direct_march(grid, drude_a, tau, n_steps, T_W, T0)
+    assert got.shape == want.shape
+    for got_row, want_row in zip(got, want):
+        assert np.max(np.abs(got_row - want_row)) \
+            <= 1e-12 * np.max(np.abs(want_row))
+
+
+def test_superposed_guard_trips_at_the_step_of_a_direct_march(monkeypatch):
+    monkeypatch.setattr(fdtd, "_REFERENCES", {})
+    grid = Grid1D(100)
+    tau = SHEET.relaxation_time
+    n_steps = _run_length(grid, tau)
+    rec = fdtd._reference(grid, n_steps, T_W, T0)
+    monkeypatch.setattr(fdtd, "INSTABILITY_FACTOR", 1e-6)
+    with pytest.raises(InstabilityError) as direct:
+        _direct_march(grid, drude_weight(SHEET), tau, n_steps, T_W, T0)
+    with pytest.raises(InstabilityError) as superposed:
+        fdtd._sheet(grid, drude_weight(SHEET), tau, rec)
+    assert str(superposed.value) == str(direct.value)
 
 
 def test_second_order_convergence():
