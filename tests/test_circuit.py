@@ -361,6 +361,22 @@ def test_metal_report(designed):
         == pytest.approx(15.9284004, rel=1e-6)
 
 
+def test_gain_is_finite_when_the_efficiency_underflows():
+    # q_total ~ 7e-145 against q_radiation ~ 3e179: the ratio is below the
+    # smallest double, but the gain in dB is an ordinary number.
+    substrate = SubstrateSpec(rel_permittivity=7.63084572156745e30,
+                              loss_tangent=0.0, thickness=1e-150)
+    geometry = design_patch(1e9, substrate)
+    report, _ = evaluate(geometry, ConductorSpec.metal(), (1e9, 325e9), 2)
+    assert report.efficiency == 0.0
+    qf = q_factors(geometry, ConductorSpec.metal(),
+                   report.resonant_frequency)
+    assert report.gain_dbi == pytest.approx(
+        report.directivity_dbi
+        + 10 * math.log10(qf.q_total * 1e300 / qf.q_radiation) - 3000,
+        rel=1e-12)
+
+
 def test_metal_beats_every_graphene_cell(designed):
     metal_eff = gain_report(designed, ConductorSpec.metal(), BAND,
                             POINTS).efficiency
