@@ -157,6 +157,13 @@ def mutual_conductance_ratio(geometry: PatchGeometry,
     return float(base @ j0 / base.sum())
 
 
+def _require_double_range(**values: float) -> None:
+    """Reject a geometry whose G1, Q, R_peak or n^2 is 0 or not finite."""
+    for key, x in values.items():
+        if not 0 < x < math.inf:
+            raise ValidationError(f"is {x:g}, out of double range", field=key)
+
+
 def q_factors(geometry: PatchGeometry, conductor: ConductorSpec,
               frequency: float) -> QFactors:
     """Radiation, conductor, and dielectric Q at the given frequency."""
@@ -178,11 +185,14 @@ def q_factors(geometry: PatchGeometry, conductor: ConductorSpec,
         q_cond = w * l_total / z.sheet_resistance
 
     g1 = (1.0 / 90.0) * (geometry.width / lam0) ** 2
+    _require_double_range(g1=g1)    # g12's integrals are 0 / 0 at G1 = 0
     g12 = mutual_conductance_ratio(geometry, frequency)
     c = _cavity_capacitance(geometry)
     q_rad = w * c / (2 * g1 * (1 + g12))
+    _require_double_range(q_radiation=q_rad, q_conductor=q_cond)
 
     q_total = 1.0 / (1.0 / q_rad + 1.0 / q_cond + 1.0 / q_diel)
+    _require_double_range(q_total=q_total)
     return QFactors(q_radiation=q_rad, q_conductor=q_cond,
                     q_dielectric=q_diel, q_total=q_total)
 
@@ -209,6 +219,7 @@ def s11_spectrum(geometry: PatchGeometry, conductor: ConductorSpec,
     require_grid(band, points)
     f_res, q, r_peak = _resonator_parameters(geometry, conductor)
     n_sq = _transformer_ratio(geometry)
+    _require_double_range(r_peak=r_peak, n_squared=n_sq)
 
     freqs = np.linspace(band[0], band[1], points)
     # 1 + i q detune, built so that a detuning that overflows far from the

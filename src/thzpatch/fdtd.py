@@ -23,11 +23,12 @@ reference, and the kick run, a unit field added at the sheet node in the
 first step. Neither depends on the sheet, so both are marched once per
 grid, as long as the longest run asked for so far, and each run takes a
 slice. The sheet run is the source run plus the kick run's response to the
-corrections that the sheet update makes at its node. The sheet update thus
-becomes a scalar recursion on the kick run's field at the sheet, and no
-sheet run marches the grid. The spectra are taken in two levels, an inner
-kernel over about sqrt(steps) samples times outer phases over the blocks,
-so about 2 sqrt(steps) exponentials are evaluated per frequency, not steps.
+corrections that the sheet update makes at its node. That update has
+constant coefficients, so the corrections solve one power-series division,
+by Newton iteration in FFT products: no sheet run marches the grid or loops
+over its steps. The spectra are taken in two levels, an inner kernel over
+about sqrt(steps) samples times outer phases over the blocks, so about
+2 sqrt(steps) exponentials are evaluated per frequency, not steps.
 
 Absorption is measured independently as the Joule spectrum of the sheet,
 eta0 Re(E J*) / |E_ref|^2, which makes the energy balance
@@ -50,21 +51,22 @@ import numpy as np
 from .constants import CODATA2018
 from .errors import (InstabilityError, ValidationError, require_frequency,
                      require_grid)
-from .materials import GrapheneSheet, drude_weight
+from .materials import RELAXATION_RANGE_S, GrapheneSheet, drude_weight
 
 DESIGN_F_MAX = 325e9            # resolution counts cells per wavelength here
 SOURCE_CENTER_HZ = 272.5e9
 SOURCE_PEAK = math.exp(-0.5)    # max of t exp(-t^2/2)
 INSTABILITY_FACTOR = 1e6
+# Up to this Drude weight (S/s) a superposed run is within 1e-12 of each
+# row's peak of a direct march, at resolutions 100-400 and tau 0.05-5 ps.
+MAX_DRUDE_WEIGHT = 7e11     # 2.35e11 at 2 eV and 300 K
 RINGDOWN_TAUS = 16.0
 RINGDOWN_WIDTHS = 8.0
 BASE_RESOLUTION = 100
 # Cost grows faster than the resolution: the two sheet-free marches take
-# cells x steps and the sheet's history sum steps^2 / 2. At tau = 5 ps, the
-# longest relaxation time GrapheneSheet accepts, and 1000 points, a first
-# run at resolution 400 takes 0.66 s of CPU and 43 MiB peak, at resolution
-# 1600 2.3 s and 58 MiB (median of 5 fresh processes, user + system time;
-# Python 3.11, numpy 2.4, a 2-vCPU Xeon VM).
+# cells x steps. At tau = 5 ps and 1000 points, a first run at resolution 400
+# takes 0.6 s of CPU and 44 MiB peak, at 1600 1.5-2.1 s and 58 MiB (median
+# of 5 fresh processes, user + system; Python 3.11, numpy 2.4, 2-vCPU VM).
 MAX_RESOLUTION = 1600
 BASE_PAD_CELLS = 45
 COURANT_NUMBER = 0.99
@@ -211,51 +213,64 @@ def _reference(grid: Grid1D, n_steps: int, t_w: float,
     return rec[:, :n_steps]
 
 
+def _inverse(q: np.ndarray) -> np.ndarray:
+    """The power series 1/q to len(q) terms: y <- y + y (1 - q y) mod z^2k
+    doubles the correct terms of y (Brent and Kung, J. ACM 25(4), 1978).
+    Both products are cyclic FFTs of size 2k: the wrap of q y lands on its
+    first k terms, which are 1, 0, 0, ... and are not read."""
+    y = np.array([1 / q[0]])
+    while y.size < q.size:
+        k, n = y.size, 2 * y.size
+        fy = np.fft.rfft(y, n)
+        high = np.fft.irfft(np.fft.rfft(q[:n], n) * fy, n)[k:]
+        y = np.append(y, -np.fft.irfft(fy * np.fft.rfft(high, n), n)[:k])
+    return y[:q.size]
+
+
 def _sheet(grid: Grid1D, drude_a: float, tau: float,
            rec: np.ndarray) -> np.ndarray:
     """The sheet run from _reference's record, by superposition.
 
     Every update of the grid is linear and time-invariant, so the sheet
     run is the source run plus the grid's response to the corrections
-    delta[m] that the sheet update makes to E at its node. The field the
-    curl update leaves at the sheet in step n is then
-    ref[n] + sum_{m<n} G[n-m] delta[m], and the sheet update is a scalar
-    recursion. Rows: E at probe_r and probe_t, E at the sheet, and J.
+    delta that the sheet update makes to E at its node. The field the curl
+    update leaves there is then C = ref + G delta, G the kick row. In
+    z^-1, with A = 1 - exp(-dt/tau) z^-1, the current update reads
+    A J = h (1 + z^-1) X for the sheet field X, and the field update
+    P X = A C, P = (1 + g/4 + g/4 z^-1) A + j h (z^-1 + z^-2). So Y = X / A
+    solves (P - G N) Y = ref with N = A - P, and X = A Y, J = h (1 + z^-1) Y
+    and delta = X - C = N Y. Rows: E at probe_r and probe_t, X, and J.
     """
     eps0 = CODATA2018.vacuum_permittivity
     dx, dt = grid.cell_size, grid.time_step
     exp_fac = math.exp(-dt / tau)
     drive_fac = drude_a * tau * (1 - exp_fac)
     g = drive_fac * dt / (eps0 * dx)
-    g_quarter, g_norm = g / 4, 1 + g / 4
-    j_fac = (dt / (2 * eps0 * dx)) * (1 + exp_fac)
-    half_drive = drive_fac * 0.5
-    guard = INSTABILITY_FACTOR * SOURCE_PEAK
+    jh = (dt / (4 * eps0 * dx)) * (1 + exp_fac) * drive_fac
+    a = np.array([1.0, -exp_fac, 0.0])
+    p = (1 + g / 4) * a + np.array([0.0, g / 4 + jh, jh - g / 4 * exp_fac])
+    n_taps = a - p      # exactly 0 for drude_a = 0: the vacuum run is exact
 
     n_steps = rec.shape[1]
-    g_rev = rec[5, ::-1].copy()
-    delta = np.zeros(n_steps)
-    e_row, j_row = [], []
-    e_sh = js = 0.0
-    for n, e_ref in enumerate(rec[2].tolist()):
-        e_curl = e_ref + float(g_rev[n_steps - 1 - n:-1].dot(delta[:n]))
-        e_sh_old = e_sh
-        e_sh = (e_curl - g_quarter * e_sh_old - j_fac * js) / g_norm
-        delta[n] = e_sh - e_curl
-        js = exp_fac * js + half_drive * (e_sh_old + e_sh)
-        if abs(e_sh) > guard:
-            raise InstabilityError(
-                f"field at the sheet node exceeded {INSTABILITY_FACTOR:.0e} "
-                f"times the source peak at step {n}")
-        e_row.append(e_sh)
-        j_row.append(js)
-    # The probe rows add delta convolved with the kick run's probe rows,
-    # taken by FFT (a direct sum is quadratic in n_steps) at a power of two
-    # of at least 2 n_steps, so the circular wrap misses the first n_steps.
+    q = -np.convolve(rec[5], n_taps)[:n_steps]
+    q[:3] += p[:n_steps]
+    # Each product is a linear convolution cut to n_steps, taken by FFT at
+    # a power of two of at least 2 n_steps, so the wrap misses the cut.
     size = 1 << (2 * n_steps - 1).bit_length()
+    y = np.fft.irfft(np.fft.rfft(rec[2], size)
+                     * np.fft.rfft(_inverse(q), size), size)[:n_steps]
+    e_sh = np.convolve(y, a)[:n_steps]
+    # The first step past the guard, or with a NaN, as a march would stop.
+    over = np.flatnonzero(~(np.abs(e_sh) <= INSTABILITY_FACTOR * SOURCE_PEAK))
+    if over.size:
+        raise InstabilityError(
+            f"field at the sheet node exceeded {INSTABILITY_FACTOR:.0e} "
+            f"times the source peak at step {over[0]}")
+    js = drive_fac / 2 * np.convolve(y, (1.0, 1.0))[:n_steps]
+    delta = np.convolve(y, n_taps)[:n_steps]
     scattered = np.fft.irfft(np.fft.rfft(rec[3:5], size)
                              * np.fft.rfft(delta, size), size)
-    return np.vstack((rec[:2] + scattered[:, :n_steps], e_row, j_row))
+    return np.vstack((rec[:2] + scattered[:, :n_steps], e_sh, js))
 
 
 def _spectra(rec: np.ndarray, freqs: np.ndarray, dt: float) -> np.ndarray:
@@ -287,12 +302,16 @@ def run_drude_scattering(drude_a: float, tau: float, grid: Grid1D,
 
     The sheet run is solved by superposition on the grid's cached source
     and kick runs (_reference, _sheet), so a run on a warm grid marches
-    nothing. drude_a = 0 runs the vacuum check: the sheet update still runs,
+    nothing. drude_a = 0 runs the vacuum check: the sheet solve still runs,
     but every correction it makes is 0, so the sheet run is the reference to
     the bit, r is 0 exactly and t is 1 to round-off.
     """
-    if not (0 <= drude_a < math.inf and 0 < tau < math.inf):
-        raise ValidationError("need finite drude_a >= 0 and tau > 0")
+    # Before anything is allocated: the step count grows with tau.
+    if not (0 <= drude_a <= MAX_DRUDE_WEIGHT
+            and 0 < tau <= RELAXATION_RANGE_S[1]):
+        raise ValidationError(
+            f"need finite drude_a in [0, {MAX_DRUDE_WEIGHT:g}] S/s and tau "
+            f"in (0, {RELAXATION_RANGE_S[1]:g}] s")
     require_grid(band, points)
     for f in band:
         x = f / SOURCE_CENTER_HZ

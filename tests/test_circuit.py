@@ -377,6 +377,24 @@ def test_gain_is_finite_when_the_efficiency_underflows():
         rel=1e-12)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("width, thickness, name, value", [
+    (4.4e-190, 8.3e-101, "q_radiation", "0"),  # was ZeroDivisionError
+    (6.5e-161, 50e-6, "q_radiation", "0"),     # was ZeroDivisionError
+    (1e-170, 50e-6, "g1", "0"),                # was 0 / 0 in g12
+    (2e245, 50e-6, "q_radiation", "inf"),      # was inf / inf in the S11
+    (1e100, 8.3e-101, "r_peak", "0")])
+def test_geometry_outside_double_range_is_rejected(width, thickness, name,
+                                                   value):
+    # PatchGeometry takes any finite width > length > 0, so the Q chain
+    # checks the quantities that would leave double range.
+    geometry = PatchGeometry(width, width / 2,
+                             SubstrateSpec(3.5, 0.0027, thickness))
+    with pytest.raises(ValidationError,
+                       match=f"^{name} is {value}, out of double range$"):
+        evaluate(geometry, ConductorSpec.metal())
+
+
 def test_metal_beats_every_graphene_cell(designed):
     metal_eff = gain_report(designed, ConductorSpec.metal(), BAND,
                             POINTS).efficiency

@@ -66,7 +66,8 @@ def test_grid_rejects_non_finite(field, value):
         Grid1D(resolution=100, **{field: value})
 
 
-def test_band_validation():
+def test_band_validation(monkeypatch):
+    monkeypatch.setattr(fdtd, "_REFERENCES", {})
     grid = Grid1D.for_resolution(100)
     with pytest.raises(ValidationError):
         run_sheet_scattering(SHEET, grid, (325e9, 220e9))
@@ -78,8 +79,12 @@ def test_band_validation():
     # Rejected before the grid is marched or the DFT kernel is built.
     with pytest.raises(ValidationError, match=f"<= {MAX_POINTS}$"):
         run_sheet_scattering(SHEET, grid, BAND, points=MAX_POINTS + 1)
+    # Past MAX_DRUDE_WEIGHT, or past the longest tau GrapheneSheet accepts
+    # (at 1 us the reference would be 5.3e8 steps long).
+    above = math.nextafter(fdtd.MAX_DRUDE_WEIGHT, math.inf)
     for drude_a, tau in ((-1.0, 1e-12), (math.nan, 1e-12), (math.inf, 1e-12),
-                         (1e12, math.nan), (1e12, math.inf)):
+                         (1e12, math.nan), (1e12, math.inf), (above, 1e-12),
+                         (1e11, 6e-12), (1e11, 1e-6)):
         with pytest.raises(ValidationError, match="need finite drude_a"):
             run_drude_scattering(drude_a, tau, grid, BAND)
     # Too narrow for distinct samples: linspace would repeat frequencies.
@@ -88,6 +93,9 @@ def test_band_validation():
         run_sheet_scattering(SHEET, grid, (280e9, 280.000000000001e9))
     with pytest.raises(ValidationError, match="must be non-empty"):
         analytic_sheet_coefficients(SHEET, [])
+    # Every input above was rejected before a reference was marched.
+    assert fdtd._REFERENCES == {}
+    run_drude_scattering(fdtd.MAX_DRUDE_WEIGHT, 5e-12, grid, BAND, points=11)
 
 
 def test_instability_guard_stops_the_march(monkeypatch):
@@ -313,8 +321,13 @@ def _run_length(grid, tau):
     return int(math.ceil(t_end / grid.time_step))
 
 
-@pytest.mark.parametrize("resolution", [100, 200])
-@pytest.mark.parametrize("ef, tau_ps", [(1.2, 1.2), (0.3, 0.3), (2.0, 5.0)])
+# The four fdtd-refine corners, the strongest sheet GrapheneSheet makes at
+# 300 K, and (ef None) a sheet at MAX_DRUDE_WEIGHT.
+@pytest.mark.parametrize("ef, tau_ps, resolution", [
+    (ef, tau_ps, res) for ef, tau_ps in ((0.3, 0.3), (1.2, 1.2), (2.0, 5.0),
+                                         (0.3, 1.2), (1.2, 0.3), (None, 5.0))
+    for res in (100, 200)] + [(0.3, 0.3, 400)],
+    ids=lambda v: "bound" if v is None else str(v))
 def test_superposed_sheet_run_matches_a_direct_march(monkeypatch, ef, tau_ps,
                                                      resolution):
     monkeypatch.setattr(fdtd, "_REFERENCES", {})
@@ -325,7 +338,8 @@ def test_superposed_sheet_run_matches_a_direct_march(monkeypatch, ef, tau_ps,
     # The source run is the sheet-free march, to the bit.
     assert np.array_equal(rec[:3],
                           _direct_march(grid, 0.0, tau, n_steps, T_W, T0)[:3])
-    drude_a = drude_weight(GrapheneSheet(ef, tau))
+    drude_a = (fdtd.MAX_DRUDE_WEIGHT if ef is None
+               else drude_weight(GrapheneSheet(ef, tau)))
     got = fdtd._sheet(grid, drude_a, tau, rec)
     want = _direct_march(grid, drude_a, tau, n_steps, T_W, T0)
     assert got.shape == want.shape
@@ -346,6 +360,19 @@ def test_superposed_guard_trips_at_the_step_of_a_direct_march(monkeypatch):
     with pytest.raises(InstabilityError) as superposed:
         fdtd._sheet(grid, drude_weight(SHEET), tau, rec)
     assert str(superposed.value) == str(direct.value)
+
+
+def test_guard_catches_a_nan(monkeypatch):
+    # not abs(e) <= guard holds for a NaN, which abs(e) > guard lets
+    # through. The FFT products spread the NaN over the whole run.
+    monkeypatch.setattr(fdtd, "_REFERENCES", {})
+    grid = Grid1D(100)
+    tau = SHEET.relaxation_time
+    rec = fdtd._reference(grid, _run_length(grid, tau), T_W, T0).copy()
+    rec[2, 500] = np.nan
+    with pytest.raises(InstabilityError, match="times the source peak at "
+                                               "step"):
+        fdtd._sheet(grid, drude_weight(SHEET), tau, rec)
 
 
 def test_second_order_convergence():
