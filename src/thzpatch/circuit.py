@@ -147,14 +147,19 @@ def mutual_conductance_ratio(geometry: PatchGeometry,
     Results are cached per (geometry, frequency): a sweep asks for the
     same few resonances of one geometry many times.
     """
+    require_frequency(frequency, "frequency")
     k0 = 2 * math.pi * frequency / CODATA2018.light_speed
     k0w_half = k0 * geometry.width / 2
     sep = geometry.length + 2 * geometry.fringing_extension
     # sin(a cos t) / cos t = a sinc(a cos t / pi), exact at cos t = 0.
-    amp = k0w_half * np.sinc(k0w_half * _COS_THETA / math.pi)
-    base = _THETA_WEIGHT * amp * amp * _SIN_THETA ** 3
-    j0 = np.cos(np.outer(k0 * sep * _SIN_THETA, _SIN_BESSEL)).mean(axis=1)
-    return float(base @ j0 / base.sum())
+    with np.errstate(invalid="ignore"):
+        amp = k0w_half * np.sinc(k0w_half * _COS_THETA / math.pi)
+        base = _THETA_WEIGHT * amp * amp * _SIN_THETA ** 3
+        j0 = np.cos(np.outer(k0 * sep * _SIN_THETA, _SIN_BESSEL)).mean(axis=1)
+        g12 = float(base @ j0 / base.sum())
+    if not math.isfinite(g12):  # k0 W or k0 sep out of double range
+        raise ValidationError(f"is {g12:g}, out of double range", field="g12")
+    return g12
 
 
 def _require_double_range(**values: float) -> None:
@@ -184,7 +189,8 @@ def q_factors(geometry: PatchGeometry, conductor: ConductorSpec,
         l_total = CODATA2018.vacuum_permeability * h + z.kinetic_inductance
         q_cond = w * l_total / z.sheet_resistance
 
-    g1 = (1.0 / 90.0) * (geometry.width / lam0) ** 2
+    ratio = geometry.width / lam0   # ** raises OverflowError from 1.3e154
+    g1 = (1.0 / 90.0) * ratio ** 2 if ratio < 1e154 else math.inf
     _require_double_range(g1=g1)    # g12's integrals are 0 / 0 at G1 = 0
     g12 = mutual_conductance_ratio(geometry, frequency)
     c = _cavity_capacitance(geometry)
@@ -220,6 +226,8 @@ def s11_spectrum(geometry: PatchGeometry, conductor: ConductorSpec,
     f_res, q, r_peak = _resonator_parameters(geometry, conductor)
     n_sq = _transformer_ratio(geometry)
     _require_double_range(r_peak=r_peak, n_squared=n_sq)
+    # numpy divides by n_sq as a product with 1 / n_sq: bound that product.
+    _require_double_range(input_resistance=r_peak * (1 / n_sq))
 
     freqs = np.linspace(band[0], band[1], points)
     # 1 + i q detune, built so that a detuning that overflows far from the
@@ -279,8 +287,11 @@ def directivity_dbi(geometry: PatchGeometry, frequency: float) -> float:
     W ~ lambda0 regime of these designs; pattern details (lobe tilt,
     array factor of the slot pair) are out of scope.
     """
+    require_frequency(frequency, "frequency")
     lam0 = CODATA2018.light_speed / frequency
-    return 6.6 + 10 * math.log10(3 * geometry.width / lam0)
+    aperture = 3 * geometry.width / lam0
+    _require_double_range(aperture=aperture)
+    return 6.6 + 10 * math.log10(aperture)
 
 
 def evaluate(geometry: PatchGeometry, conductor: ConductorSpec,

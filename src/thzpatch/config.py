@@ -29,9 +29,10 @@ or range applies to every element before it.
 Every parse or validation problem is reported with the offending key and
 line number. Value bounds live in the domain types (SubstrateSpec,
 GrapheneSheet) and the sample-grid rule in errors.require_grid, shared with
-the CLI and the API; their errors are re-raised here with the key and line.
-Validation is fail-fast: nothing is computed from a config that has any
-invalid value.
+the CLI and the API. Their errors name a field, not a key; parse_config
+re-keys them in one handler, which maps the field to the key and line that
+supplied it. Validation is fail-fast: keys are checked in a fixed order, and
+nothing is computed from a config that has any invalid value.
 """
 
 from __future__ import annotations
@@ -188,7 +189,8 @@ def parse_quantity_list(text: str, dimension: str, key: str,
     return out
 
 
-# Every key of each section, in the order a missing one is reported.
+# Every key of each section, in the order a missing one is reported. No
+# two sections share a key name, so a key's name alone identifies it.
 _KNOWN_KEYS = {
     "substrate": ("rel_permittivity", "loss_tangent", "thickness"),
     "design": ("frequency",),
@@ -196,24 +198,14 @@ _KNOWN_KEYS = {
               "variants", "temperature"),
     "output": ("format", "path"),
 }
-_OPTIONAL_KEY = ("sweep", "temperature")
-
-# Domain-type field -> the (section, key) that supplies it.
-_FIELD_KEYS = {
-    "rel_permittivity": ("substrate", "rel_permittivity"),
-    "loss_tangent": ("substrate", "loss_tangent"),
-    "thickness": ("substrate", "thickness"),
-    "frequency": ("design", "frequency"),
-    "fermi_level": ("sweep", "fermi_levels"),
-    "relaxation_time": ("sweep", "relaxation_times"),
-    "temperature": ("sweep", "temperature"),
-    "band": ("sweep", "band"),
-    "points": ("sweep", "points"),
-}
+_OPTIONAL_KEY = "temperature"
+# A ValidationError's field -> the key that supplies it, where they differ.
+_FIELD_KEYS = {"fermi_level": "fermi_levels",
+               "relaxation_time": "relaxation_times"}
 
 
-def _read_pairs(text: str) -> dict[tuple[str, str], tuple[str, int]]:
-    pairs: dict[tuple[str, str], tuple[str, int]] = {}
+def _read_pairs(text: str) -> dict[str, tuple[str, int]]:
+    pairs: dict[str, tuple[str, int]] = {}
     section: str | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].split(";", 1)[0].strip()
@@ -237,12 +229,12 @@ def _read_pairs(text: str) -> dict[tuple[str, str], tuple[str, int]]:
         if key not in _KNOWN_KEYS[section]:
             raise ConfigError(f"line {lineno}: unknown key '{key}' in "
                               f"[{section}]")
-        if (section, key) in pairs:
+        if key in pairs:
             raise ConfigError(f"line {lineno}: duplicate key '{key}' in "
                               f"[{section}]")
         if not value:
             raise ConfigError(f"line {lineno}: key '{key}': empty value")
-        pairs[(section, key)] = (value, lineno)
+        pairs[key] = (value, lineno)
     return pairs
 
 
@@ -252,95 +244,72 @@ def parse_config(text: str) -> RunConfig:
 
     for section, keys in _KNOWN_KEYS.items():
         for key in keys:
-            if (section, key) in pairs or (section, key) == _OPTIONAL_KEY:
-                continue
-            raise ConfigError(f"missing required key '{section}.{key}'")
+            if key not in pairs and key != _OPTIONAL_KEY:
+                raise ConfigError(f"missing required key '{section}.{key}'")
 
-    def get(section: str, key: str) -> tuple[str, int]:
-        return pairs[(section, key)]
+    def read(key: str, dimension: str | None = None, parse=parse_quantity):
+        """A key's number, or its quantity (list) in `dimension`."""
+        value, line = pairs[key]
+        if dimension is None:
+            return _parse_number(value, key, line)
+        return parse(value, dimension, key, line)
 
-    def in_context(exc: ValidationError) -> ConfigError:
-        section, key = _FIELD_KEYS[exc.field]
-        return ConfigError(f"{_ctx(key, get(section, key)[1])}: {exc.reason}")
-
-    val, ln = get("substrate", "rel_permittivity")
-    eps_r = _parse_number(val, "rel_permittivity", ln)
-    val, ln = get("substrate", "loss_tangent")
-    tan_d = _parse_number(val, "loss_tangent", ln)
-    val, ln = get("substrate", "thickness")
-    thickness = parse_quantity(val, "length", "thickness", ln)
+    # Keys are read and checked in order, and the first bad one is reported:
+    # a failed check names its field, which the handler maps to its key.
     try:
-        substrate = SubstrateSpec(rel_permittivity=eps_r, loss_tangent=tan_d,
-                                  thickness=thickness)
-    except ValidationError as exc:
-        raise in_context(exc) from None
-
-    val, ln = get("design", "frequency")
-    f_design = parse_quantity(val, "frequency", "frequency", ln)
-    try:
+        substrate = SubstrateSpec(read("rel_permittivity"),
+                                  read("loss_tangent"),
+                                  read("thickness", "length"))
+        f_design = read("frequency", "frequency")
         require_design_frequency(f_design)
-    except ValidationError as exc:
-        raise in_context(exc) from None
 
-    val, ln = get("sweep", "fermi_levels")
-    fermi = parse_quantity_list(val, "energy", "fermi_levels", ln)
-    val, ln = get("sweep", "relaxation_times")
-    taus = parse_quantity_list(val, "time", "relaxation_times", ln)
-    temperature = 300.0
-    if _OPTIONAL_KEY in pairs:
-        val, ln = get("sweep", "temperature")
-        temperature = parse_quantity(val, "temperature", "temperature", ln)
-    # One sheet per value, failing first where the full (ef, tau) grid would.
-    try:
+        fermi = read("fermi_levels", "energy", parse_quantity_list)
+        taus = read("relaxation_times", "time", parse_quantity_list)
+        temperature = (read("temperature", "temperature")
+                       if _OPTIONAL_KEY in pairs else 300.0)
+        # One sheet per value, failing first where the full grid would.
         for tau_ps in taus:
             GrapheneSheet(fermi[0], tau_ps * 1e-12, temperature)
         for ef in fermi[1:]:
             GrapheneSheet(ef, taus[0] * 1e-12, temperature)
-    except ValidationError as exc:
-        raise in_context(exc) from None
 
-    val, ln = get("sweep", "band")
-    band_vals = parse_quantity_list(val, "frequency", "band", ln)
-    if len(band_vals) != 2:
-        raise ConfigError(f"line {ln}: key 'band': need exactly two "
-                          f"frequencies with lo < hi")
-    band = (band_vals[0], band_vals[1])
+        band = tuple(read("band", "frequency", parse_quantity_list))
+        if len(band) != 2:
+            raise ValidationError("need exactly two frequencies with lo < hi",
+                                  field="band")
 
-    val, ln = get("sweep", "variants")
-    variants = [item.strip() for item in val.split(",")]
-    for i, name in enumerate(variants):
-        if name not in ("metal", "graphene"):
-            raise ConfigError(f"line {ln}: key 'variants': unknown variant "
-                              f"{name!r} (metal or graphene)")
-        if name in variants[:i]:
-            raise ConfigError(f"line {ln}: key 'variants': duplicate "
-                              f"{name!r}")
+        variants = [item.strip() for item in pairs["variants"][0].split(",")]
+        for i, name in enumerate(variants):
+            if name not in ("metal", "graphene"):
+                raise ValidationError(f"unknown variant {name!r} (metal or "
+                                      f"graphene)", field="variants")
+            if name in variants[:i]:
+                raise ValidationError(f"duplicate {name!r}", field="variants")
 
-    val, ln = get("sweep", "points")
-    try:
-        points = int(val)
-    except ValueError:
-        raise ConfigError(f"line {ln}: key 'points': not an integer: {val!r}")
-    try:
+        points_text = pairs["points"][0]
+        try:
+            points = int(points_text)
+        except ValueError:
+            raise ValidationError(f"not an integer: {points_text!r}",
+                                  field="points")
         require_grid(band, points)
+        cells = (("metal" in variants)
+                 + ("graphene" in variants) * len(fermi) * len(taus))
+        if cells * points > MAX_SWEEP_SAMPLES:
+            raise ValidationError(f"{cells} cells x {points} points exceed "
+                                  f"{MAX_SWEEP_SAMPLES} samples",
+                                  field="points")
+
+        fmt = pairs["format"][0]
+        if fmt not in ("csv", "json"):
+            raise ValidationError("must be csv or json", field="format")
     except ValidationError as exc:
-        raise in_context(exc) from None
-    cells = (("metal" in variants)
-             + ("graphene" in variants) * len(fermi) * len(taus))
-    if cells * points > MAX_SWEEP_SAMPLES:
-        raise ConfigError(f"line {ln}: key 'points': {cells} cells x {points} "
-                          f"points exceed {MAX_SWEEP_SAMPLES} samples")
+        if exc.field is None:   # a ConfigError or UnitError names its key
+            raise
+        key = _FIELD_KEYS.get(exc.field, exc.field)
+        raise ConfigError(f"{_ctx(key, pairs[key][1])}: {exc.reason}") \
+            from None
 
-    val, ln = get("output", "format")
-    fmt = val.strip()
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"line {ln}: key 'format': must be csv or json")
-
-    path, _ = get("output", "path")
-
-    grid = SweepGrid(fermi_levels=fermi, relaxation_times=taus,
-                     frequency_band=band,
-                     frequency_points=points, variants=variants)
-    return RunConfig(substrate=substrate, design_frequency=f_design,
-                     sweep=grid, output_format=fmt, output_path=path,
-                     temperature=temperature)
+    return RunConfig(substrate, f_design,
+                     SweepGrid(fermi, taus, band, points, variants), fmt,
+                     pairs["path"][0], temperature)

@@ -39,6 +39,7 @@ def require_finite(obj: object, *fields: str) -> None:
 # Below about 1e-300 Hz the free-space wavenumber 2 pi f / c is subnormal,
 # and below 2.4e-316 Hz it is 0, which the SPP solvers divide by.
 MIN_FREQUENCY = 1e-290
+MAX_BAND_FREQUENCY = 1e300     # np.linspace overflows on nearly 2e308 Hz
 
 
 def require_frequency(value: float, field: str) -> None:
@@ -72,6 +73,9 @@ def require_grid(band: tuple[float, float], points: int) -> None:
     f_lo, f_hi = band
     if not (0 < f_lo < f_hi and math.isfinite(f_hi)):
         raise ValidationError("must satisfy 0 < f_lo < f_hi", field="band")
+    if f_hi > MAX_BAND_FREQUENCY:
+        raise ValidationError(f"must end at or below {MAX_BAND_FREQUENCY:g} "
+                              "Hz", field="band")
     if not (f_hi - f_lo) / (points - 1) > 4 * math.ulp(f_hi):
         raise ValidationError(f"must be wide enough for {points} distinct "
                               "samples", field="band")

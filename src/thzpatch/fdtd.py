@@ -55,6 +55,8 @@ from .materials import RELAXATION_RANGE_S, GrapheneSheet, drude_weight
 
 DESIGN_F_MAX = 325e9            # resolution counts cells per wavelength here
 SOURCE_CENTER_HZ = 272.5e9
+SOURCE_WIDTH_S = 1.0 / (2 * math.pi * SOURCE_CENTER_HZ)
+SOURCE_DELAY_S = 6 * SOURCE_WIDTH_S
 SOURCE_PEAK = math.exp(-0.5)    # max of t exp(-t^2/2)
 INSTABILITY_FACTOR = 1e6
 # Up to this Drude weight (S/s) a superposed run is within 1e-12 of each
@@ -176,14 +178,21 @@ def _march(grid: Grid1D, node: int, drive: Sequence[float]) -> np.ndarray:
     return np.ascontiguousarray(rec.T)
 
 
-# Sheet-free records by (grid, t_w, t0), least recently used first.
-_REFERENCES: dict[tuple[Grid1D, float, float], np.ndarray] = {}
+# Sheet-free records by grid, least recently used first.
+_REFERENCES: dict[Grid1D, np.ndarray] = {}
 _REFERENCES_LOCK = threading.Lock()
 REFERENCE_GRIDS = 4     # 6 rows, 4 x 2.4 MB at resolution 1600, tau = 5 ps
 
 
-def _reference(grid: Grid1D, n_steps: int, t_w: float,
-               t0: float) -> np.ndarray:
+def _step_count(grid: Grid1D, tau: float) -> int:
+    """Steps of a run: source delay, transit of the grid, then ringdown."""
+    transit = grid.cell_count * grid.cell_size / CODATA2018.light_speed
+    t_end = (SOURCE_DELAY_S + transit + RINGDOWN_TAUS * tau
+             + RINGDOWN_WIDTHS * SOURCE_WIDTH_S)
+    return int(math.ceil(t_end / grid.time_step))
+
+
+def _reference(grid: Grid1D, n_steps: int) -> np.ndarray:
     """The grid's two sheet-free records of n_steps, marched once per grid.
 
     Rows 0-2 are _march's rows for the source run, the differentiated
@@ -196,18 +205,18 @@ def _reference(grid: Grid1D, n_steps: int, t_w: float,
     longer one. So each grid keeps one read-only record, as long as the
     longest run asked for so far, and a run takes a slice.
     """
-    key = (grid, t_w, t0)
     with _REFERENCES_LOCK:
-        rec = _REFERENCES.pop(key, None)
+        rec = _REFERENCES.pop(grid, None)
         if rec is None or rec.shape[1] < n_steps:
             dt = grid.time_step
-            tts = [((n + 1) * dt - t0) / t_w for n in range(n_steps)]
+            tts = [((n + 1) * dt - SOURCE_DELAY_S) / SOURCE_WIDTH_S
+                   for n in range(n_steps)]
             pulse = [tt * math.exp(-0.5 * tt * tt) for tt in tts]
             kick = [1.0] + [0.0] * (n_steps - 1)
             rec = np.vstack((_march(grid, _layout(grid)[0], pulse),
                              _march(grid, grid.sheet_index, kick)))
             rec.flags.writeable = False
-        _REFERENCES[key] = rec
+        _REFERENCES[grid] = rec
         while len(_REFERENCES) > REFERENCE_GRIDS:
             del _REFERENCES[next(iter(_REFERENCES))]
     return rec[:, :n_steps]
@@ -321,13 +330,7 @@ def run_drude_scattering(drude_a: float, tau: float, grid: Grid1D,
                 f"{f / 1e9:.1f} GHz is outside the source's -20 dB support")
     freqs = np.linspace(band[0], band[1], points)
 
-    t_w = 1.0 / (2 * math.pi * SOURCE_CENTER_HZ)
-    t0 = 6 * t_w
-    transit = grid.cell_count * grid.cell_size / CODATA2018.light_speed
-    t_end = t0 + transit + RINGDOWN_TAUS * tau + RINGDOWN_WIDTHS * t_w
-    n_steps = int(math.ceil(t_end / grid.time_step))
-
-    rec = _reference(grid, n_steps, t_w, t0)
+    rec = _reference(grid, _step_count(grid, tau))
     shr = _sheet(grid, drude_a, tau, rec)
     spectra = _spectra(np.vstack((rec[:3], shr)), freqs, grid.time_step)
     ref_f, shr_f = spectra[:, :3], spectra[:, 3:]
@@ -355,8 +358,13 @@ def run_sheet_scattering(sheet: GrapheneSheet, grid: Grid1D,
                          band: tuple[float, float], points: int = 106
                          ) -> SheetScatteringResult:
     """FDTD scattering spectra of a graphene sheet over the band."""
-    return run_drude_scattering(drude_weight(sheet), sheet.relaxation_time,
-                                grid, band, points)
+    drude_a = drude_weight(sheet)   # past the bound only far above 300 K
+    if not drude_a <= MAX_DRUDE_WEIGHT:
+        raise ValidationError(
+            f"the {sheet.fermi_level:g} eV sheet at {sheet.temperature:g} K "
+            f"has Drude weight {drude_a:.3g} S/s, above {MAX_DRUDE_WEIGHT:g}")
+    return run_drude_scattering(drude_a, sheet.relaxation_time, grid, band,
+                                points)
 
 
 def analytic_sheet_coefficients(sheet: GrapheneSheet,
@@ -366,9 +374,10 @@ def analytic_sheet_coefficients(sheet: GrapheneSheet,
     freqs = np.asarray(frequencies, dtype=float)
     if freqs.size == 0:
         raise ValidationError("frequency grid must be non-empty")
-    omega = 2 * math.pi * freqs
+    with np.errstate(over="ignore"):
+        omega = 2 * math.pi * freqs
     # kubo_sigma's frequency rule and formula, on the whole array; a NaN
-    # reaches both ends.
+    # reaches both ends, and so does an omega that overflowed to inf.
     for end in (omega.min(), omega.max()):
         require_frequency(float(end), "angular_frequency")
     sigma = drude_weight(sheet) * 1j / (omega + 1j / sheet.relaxation_time)

@@ -27,8 +27,9 @@ FERMI_LEVEL_RANGE_EV = (0.05, 2.0)
 RELAXATION_RANGE_S = (0.05e-12, 5.0e-12)
 # drude_weight's prefactor 2 e^2 k_B T / (pi hbar^2) goes subnormal below
 # about 3e-248 K: at 1e-255 K the weight is off by 3e-9, and from 1e-265 K
-# it is 0, so the sheet impedance divides by zero.
+# it is 0, so the sheet impedance divides by zero; above 1e301 K it is inf.
 MIN_TEMPERATURE_K = 1e-240
+MAX_TEMPERATURE_K = 1e300
 
 
 @dataclass(frozen=True)
@@ -60,6 +61,9 @@ class GrapheneSheet:
             raise ValidationError("must be > 0 K", field="temperature")
         if self.temperature < MIN_TEMPERATURE_K:
             raise ValidationError(f"must be >= {MIN_TEMPERATURE_K:g} K",
+                                  field="temperature")
+        if self.temperature > MAX_TEMPERATURE_K:
+            raise ValidationError(f"must be <= {MAX_TEMPERATURE_K:g} K",
                                   field="temperature")
 
 
@@ -140,9 +144,12 @@ def relaxation_from_mobility(mobility_cm2: float, fermi_level: float) -> float:
 
     Inverse of mobility(); the pair round-trips to double precision.
     """
-    if mobility_cm2 <= 0 or fermi_level <= 0:
-        raise ValidationError("mobility and fermi_level must be > 0")
     mu_si = mobility_cm2 * 1e-4
     ef_joule = fermi_level * CODATA2018.electron_charge
-    return mu_si * ef_joule / (CODATA2018.electron_charge
-                               * CODATA2018.fermi_velocity**2)
+    tau = mu_si * ef_joule / (CODATA2018.electron_charge
+                              * CODATA2018.fermi_velocity**2)
+    if not (mobility_cm2 > 0 and fermi_level > 0 and 0 < tau < math.inf):
+        raise ValidationError("mobility and fermi_level must be > 0 and give "
+                              f"a relaxation time in double range, not {tau:g}"
+                              " s")
+    return tau

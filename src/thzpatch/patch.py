@@ -93,8 +93,12 @@ def _eps_eff(eps_r: float, h: float, width: float) -> float:
 
 def _fringing_extension(eps_eff: float, h: float, width: float) -> float:
     w_h = width / h
-    return 0.412 * h * (eps_eff + 0.3) * (w_h + 0.264) / (
+    d_l = 0.412 * h * (eps_eff + 0.3) * (w_h + 0.264) / (
         (eps_eff - 0.258) * (w_h + 0.8))
+    if not math.isfinite(d_l):  # a product overflowed; the ratios cannot
+        d_l = 0.412 * h * ((eps_eff + 0.3) / (eps_eff - 0.258)) * (
+            (w_h + 0.264) / (w_h + 0.8) if w_h < math.inf else 1.0)
+    return d_l
 
 
 def _resonant_length(frequency: float, eps_eff: float,

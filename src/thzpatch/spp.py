@@ -159,7 +159,8 @@ def spp_wavenumber_asymmetric(sigma: SheetConductivity,
     companion[0] = row
     _, u = _bound_mode([(k0 * cmath.sqrt(u * u + ea), u)
                         for u in np.linalg.eigvals(companion).tolist()
-                        if (eb * u / (r * u - ea)).real > 0], k0, ea)
+                        if r * u != ea  # else v is unknown: not a mode
+                        and (eb * u / (r * u - ea)).real > 0], k0, ea)
     for _ in range(2):
         v = cmath.sqrt(u * u + d)
         # Products, not **3: complex ** raises OverflowError where * gives inf.

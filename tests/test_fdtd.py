@@ -18,8 +18,6 @@ from thzpatch.fdtd import COURANT_NUMBER, MAX_RESOLUTION
 
 BAND = (220e9, 325e9)
 SHEET = GrapheneSheet(1.2, 1.2e-12)
-T_W = 1 / (2 * math.pi * fdtd.SOURCE_CENTER_HZ)    # run_drude_scattering's
-T0 = 6 * T_W                                       # source width and delay
 
 
 @pytest.fixture(scope="module")
@@ -98,13 +96,27 @@ def test_band_validation(monkeypatch):
     run_drude_scattering(fdtd.MAX_DRUDE_WEIGHT, 5e-12, grid, BAND, points=11)
 
 
+def test_too_hot_sheet_is_rejected_before_anything_is_allocated(
+        monkeypatch):
+    monkeypatch.setattr(fdtd, "_REFERENCES", {})
+    hot = GrapheneSheet(2.0, 5e-12, 1e6)
+    assert drude_weight(hot) > fdtd.MAX_DRUDE_WEIGHT
+    with pytest.raises(ValidationError, match=r"^the 2 eV sheet at 1e\+06 K "
+                       r"has Drude weight 1\.41e\+13 S/s, above 7e\+11$"):
+        run_sheet_scattering(hot, Grid1D(100), BAND, points=5)
+    assert fdtd._REFERENCES == {}
+    # The raw entry point keeps its own check and message.
+    with pytest.raises(ValidationError, match="^need finite drude_a"):
+        run_drude_scattering(drude_weight(hot), 5e-12, Grid1D(100), BAND)
+
+
 def test_instability_guard_stops_the_march(monkeypatch):
     # No real input diverges (the sheet update is unconditionally stable),
     # so the guard is lowered below the pulse itself. The reference is
     # cached first, so it is the sheet update that trips the guard.
     grid = Grid1D.for_resolution(100)
     run_sheet_scattering(SHEET, grid, BAND, points=11)
-    assert any(key[0] == grid for key in fdtd._REFERENCES)
+    assert grid in fdtd._REFERENCES
     monkeypatch.setattr(fdtd, "INSTABILITY_FACTOR", 1e-6)
     with pytest.raises(InstabilityError, match="exceeded 1e-06 times the "
                                                "source peak at step"):
@@ -141,9 +153,7 @@ def test_reference_cache_does_not_change_results(monkeypatch):
 
 def test_cached_reference_is_read_only_and_bounded(monkeypatch):
     monkeypatch.setattr(fdtd, "_REFERENCES", {})
-    t_w = 1 / (2 * math.pi * fdtd.SOURCE_CENTER_HZ)
-    t0 = 6 * t_w
-    first = fdtd._reference(Grid1D(100), 300, t_w, t0)
+    first = fdtd._reference(Grid1D(100), 300)
     # Three rows of the source run, then three of the kick run.
     assert first.shape == (6, 300)
     assert np.any(first[0] != 0)    # the pulse has reached the probe
@@ -153,18 +163,16 @@ def test_cached_reference_is_read_only_and_bounded(monkeypatch):
         first[0, 0] = 1.0
     # A shorter run is served by a slice of the record; a longer one
     # re-marches, and its record starts with the shorter one.
-    assert np.shares_memory(fdtd._reference(Grid1D(100), 150, t_w, t0),
-                            first)
-    longer = fdtd._reference(Grid1D(100), 450, t_w, t0)
+    assert np.shares_memory(fdtd._reference(Grid1D(100), 150), first)
+    longer = fdtd._reference(Grid1D(100), 450)
     assert np.array_equal(longer[:, :300], first)
     # Full, then one more grid: the least recently used one goes out.
     others = list(range(101, 100 + fdtd.REFERENCE_GRIDS))
     for res in others:
-        fdtd._reference(Grid1D(res), 10, t_w, t0)
-    assert np.shares_memory(fdtd._reference(Grid1D(100), 450, t_w, t0),
-                            longer)
-    fdtd._reference(Grid1D(200), 10, t_w, t0)
-    assert [key[0].resolution for key in fdtd._REFERENCES] \
+        fdtd._reference(Grid1D(res), 10)
+    assert np.shares_memory(fdtd._reference(Grid1D(100), 450), longer)
+    fdtd._reference(Grid1D(200), 10)
+    assert [grid.resolution for grid in fdtd._REFERENCES] \
         == others[1:] + [100, 200]
 
 
@@ -266,7 +274,7 @@ def test_two_level_dft_matches_the_one_kernel_dft(n_steps, points):
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-def _direct_march(grid, drude_a, tau, n_steps, t_w, t0):
+def _direct_march(grid, drude_a, tau, n_steps):
     """The sheet run marched node by node with the Drude sheet update.
 
     Rows: E at probe_r and probe_t, E at the sheet, and J. drude_a = 0
@@ -300,7 +308,7 @@ def _direct_march(grid, drude_a, tau, n_steps, t_w, t0):
         e_sh = (ez[n_sh] - g / 4 * e_sh_old - j_fac * js) / (1 + g / 4)
         ez[n_sh] = e_sh
         js = exp_fac * js + drive_fac * 0.5 * (e_sh_old + e_sh)
-        tt = ((n + 1) * dt - t0) / t_w
+        tt = ((n + 1) * dt - fdtd.SOURCE_DELAY_S) / fdtd.SOURCE_WIDTH_S
         ez[src] += tt * math.exp(-0.5 * tt * tt)
         ez[0] = ez_l + beta * (ez[1] - ez0_old)
         ez[-1] = ez_r + beta * (ez[-2] - ezn_old)
@@ -311,14 +319,6 @@ def _direct_march(grid, drude_a, tau, n_steps, t_w, t0):
                 f"step {n}")
         rec[n] = (ez[probe_r], ez[probe_t], e_sh, js)
     return rec.T
-
-
-def _run_length(grid, tau):
-    """run_drude_scattering's step count."""
-    transit = grid.cell_count * grid.cell_size / CODATA2018.light_speed
-    t_end = (T0 + transit + fdtd.RINGDOWN_TAUS * tau
-             + fdtd.RINGDOWN_WIDTHS * T_W)
-    return int(math.ceil(t_end / grid.time_step))
 
 
 # The four fdtd-refine corners, the strongest sheet GrapheneSheet makes at
@@ -333,15 +333,14 @@ def test_superposed_sheet_run_matches_a_direct_march(monkeypatch, ef, tau_ps,
     monkeypatch.setattr(fdtd, "_REFERENCES", {})
     grid = Grid1D(resolution)
     tau = tau_ps * 1e-12
-    n_steps = _run_length(grid, tau)
-    rec = fdtd._reference(grid, n_steps, T_W, T0)
+    n_steps = fdtd._step_count(grid, tau)
+    rec = fdtd._reference(grid, n_steps)
     # The source run is the sheet-free march, to the bit.
-    assert np.array_equal(rec[:3],
-                          _direct_march(grid, 0.0, tau, n_steps, T_W, T0)[:3])
+    assert np.array_equal(rec[:3], _direct_march(grid, 0.0, tau, n_steps)[:3])
     drude_a = (fdtd.MAX_DRUDE_WEIGHT if ef is None
                else drude_weight(GrapheneSheet(ef, tau)))
     got = fdtd._sheet(grid, drude_a, tau, rec)
-    want = _direct_march(grid, drude_a, tau, n_steps, T_W, T0)
+    want = _direct_march(grid, drude_a, tau, n_steps)
     assert got.shape == want.shape
     for got_row, want_row in zip(got, want):
         assert np.max(np.abs(got_row - want_row)) \
@@ -352,11 +351,11 @@ def test_superposed_guard_trips_at_the_step_of_a_direct_march(monkeypatch):
     monkeypatch.setattr(fdtd, "_REFERENCES", {})
     grid = Grid1D(100)
     tau = SHEET.relaxation_time
-    n_steps = _run_length(grid, tau)
-    rec = fdtd._reference(grid, n_steps, T_W, T0)
+    n_steps = fdtd._step_count(grid, tau)
+    rec = fdtd._reference(grid, n_steps)
     monkeypatch.setattr(fdtd, "INSTABILITY_FACTOR", 1e-6)
     with pytest.raises(InstabilityError) as direct:
-        _direct_march(grid, drude_weight(SHEET), tau, n_steps, T_W, T0)
+        _direct_march(grid, drude_weight(SHEET), tau, n_steps)
     with pytest.raises(InstabilityError) as superposed:
         fdtd._sheet(grid, drude_weight(SHEET), tau, rec)
     assert str(superposed.value) == str(direct.value)
@@ -368,7 +367,7 @@ def test_guard_catches_a_nan(monkeypatch):
     monkeypatch.setattr(fdtd, "_REFERENCES", {})
     grid = Grid1D(100)
     tau = SHEET.relaxation_time
-    rec = fdtd._reference(grid, _run_length(grid, tau), T_W, T0).copy()
+    rec = fdtd._reference(grid, fdtd._step_count(grid, tau)).copy()
     rec[2, 500] = np.nan
     with pytest.raises(InstabilityError, match="times the source peak at "
                                                "step"):

@@ -448,6 +448,19 @@ def test_cli_fdtd_check_resolution_outside_range_is_a_usage_error(
     assert "Traceback" not in err
 
 
+def test_cli_fdtd_check_too_hot_sheet_names_the_temperature(capsys):
+    # Only --temp lifts a sheet past fdtd.MAX_DRUDE_WEIGHT, so the message
+    # names the sheet and its temperature, not a drude_a the CLI has no
+    # flag for.
+    assert cli_main(["fdtd-check", "--ef", "2eV", "--tau", "5ps",
+                     "--temp", "1e6K", "--resolution", "100",
+                     "--points", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: the 2 eV sheet at 1e+06 K has Drude "
+                            "weight 1.41e+13 S/s, above 7e+11\n")
+
+
 @pytest.mark.parametrize("command", ["analyze", "fdtd-check"])
 @pytest.mark.parametrize("points", [MAX_POINTS + 1, 10**9])
 def test_cli_points_above_the_cap_is_a_usage_error(capsys, command, points):
