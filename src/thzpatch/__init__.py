@@ -8,10 +8,10 @@ cross-check of the sheet response, and batch sweeps with CSV/JSON output.
 """
 
 from .circuit import (ALUMINUM_CONDUCTIVITY, REFERENCE_IMPEDANCE,
-                      AntennaReport, ConductorSpec, QFactors, Spectrum,
-                      SpectrumResult, bandwidth_minus10db, directivity_dbi,
-                      evaluate, gain_report, graphene_resonance,
-                      mutual_conductance_ratio, q_factors, s11_spectrum)
+                      AntennaReport, QFactors, Spectrum, SpectrumResult,
+                      bandwidth_minus10db, directivity_dbi, evaluate,
+                      gain_report, mutual_conductance_ratio, q_factors,
+                      s11_spectrum)
 from .cli import cli_main
 from .config import (RunConfig, SweepGrid, parse_config, parse_quantity,
                      parse_quantity_list)
@@ -26,8 +26,8 @@ from .materials import (FERMI_LEVEL_RANGE_EV, RELAXATION_RANGE_S,
                         GrapheneSheet, SheetConductivity, SheetImpedance,
                         drude_weight, kubo_sigma, mobility,
                         relaxation_from_mobility, sheet_impedance)
-from .patch import (PatchGeometry, SubstrateSpec, design_patch, f_res_metal,
-                    patch_for_target)
+from .patch import (ConductorSpec, PatchGeometry, SubstrateSpec, design_patch,
+                    f_res_metal, graphene_resonance, patch_for_target)
 from .spp import (ConfinementCell, DielectricHalfspaces, SppSolution,
                   confinement_sweep, spp_wavenumber_asymmetric,
                   spp_wavenumber_symmetric)

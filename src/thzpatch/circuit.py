@@ -16,6 +16,9 @@ Gauss-Legendre rule in theta, and J0 a 32-point midpoint rule on its
 periodic integral; they agree with adaptive quadrature to about 1e-14
 relative up to 5x the design frequency.
 
+The conductor (ConductorSpec) and the resonance it gives the patch
+(graphene_resonance) come from patch and are bound here too.
+
 The feed is a fixed ideal transformer chosen once per geometry so that the
 metal variant is matched to the 50 ohm reference at its resonance; graphene
 variants then show up as mismatch, with shallower dips for lossier sheets.
@@ -33,8 +36,8 @@ import numpy as np
 
 from .constants import CODATA2018
 from .errors import ValidationError, require_frequency, require_grid
-from .materials import GrapheneSheet, sheet_impedance
-from .patch import PatchGeometry, f_res_metal, kinetic_pull
+from .materials import sheet_impedance
+from .patch import ConductorSpec, PatchGeometry, graphene_resonance
 
 ALUMINUM_CONDUCTIVITY = 3.56e7  # S/m
 
@@ -47,26 +50,6 @@ _SIN_BESSEL = np.sin(math.pi * (np.arange(BESSEL_NODES) + 0.5) / BESSEL_NODES)
 
 REFERENCE_IMPEDANCE = 50.0  # ohm
 S11_FLOOR_DB = -120.0
-
-
-@dataclass(frozen=True)
-class ConductorSpec:
-    """The patch conductor: a graphene sheet, or aluminum when sheet is None.
-
-    Use the metal() / graphene() constructors.
-    """
-
-    sheet: GrapheneSheet | None = None
-
-    @classmethod
-    def metal(cls) -> "ConductorSpec":
-        return cls()
-
-    @classmethod
-    def graphene(cls, sheet: GrapheneSheet) -> "ConductorSpec":
-        if sheet is None:
-            raise ValidationError("graphene conductor needs a sheet")
-        return cls(sheet)
 
 
 @dataclass(frozen=True)
@@ -120,16 +103,6 @@ class AntennaReport:
     efficiency: float
     directivity_dbi: float
     gain_dbi: float
-
-
-def graphene_resonance(geometry: PatchGeometry,
-                       conductor: ConductorSpec) -> float:
-    """Resonance of the patch with its conductor, in Hz: the cavity
-    resonance, divided by the kinetic pull for a graphene sheet."""
-    f_metal = f_res_metal(geometry)
-    if conductor.sheet is None:
-        return f_metal
-    return f_metal / kinetic_pull(conductor.sheet, geometry.substrate)
 
 
 def _cavity_capacitance(geometry: PatchGeometry) -> float:
@@ -203,28 +176,22 @@ def q_factors(geometry: PatchGeometry, conductor: ConductorSpec,
                     q_dielectric=q_diel, q_total=q_total)
 
 
-def _resonator_parameters(geometry: PatchGeometry, conductor: ConductorSpec
-                          ) -> tuple[float, float, float]:
-    """(f_res, Q, R_peak) of the variant's parallel RLC equivalent."""
+def _resonator(geometry: PatchGeometry, conductor: ConductorSpec
+               ) -> tuple[float, QFactors, float]:
+    """(f_res, Q factors, R_peak) of the variant's parallel RLC equivalent."""
     f_res = graphene_resonance(geometry, conductor)
-    q = q_factors(geometry, conductor, f_res).q_total
-    c = _cavity_capacitance(geometry)
-    r_peak = q / (2 * math.pi * f_res * c)
-    return f_res, q, r_peak
-
-
-def _transformer_ratio(geometry: PatchGeometry) -> float:
-    """n^2 of the feed transformer that matches the metal variant to 50 ohm."""
-    _, _, r_peak_metal = _resonator_parameters(geometry, ConductorSpec.metal())
-    return r_peak_metal / REFERENCE_IMPEDANCE
+    qf = q_factors(geometry, conductor, f_res)
+    r_peak = qf.q_total / (2 * math.pi * f_res * _cavity_capacitance(geometry))
+    return f_res, qf, r_peak
 
 
 def s11_spectrum(geometry: PatchGeometry, conductor: ConductorSpec,
                  band: tuple[float, float], points: int) -> Spectrum:
     """Reflection response over the band against the 50 ohm reference."""
     require_grid(band, points)
-    f_res, q, r_peak = _resonator_parameters(geometry, conductor)
-    n_sq = _transformer_ratio(geometry)
+    f_res, qf, r_peak = _resonator(geometry, conductor)
+    # The feed transformer matches the metal variant to the reference.
+    n_sq = _resonator(geometry, ConductorSpec.metal())[2] / REFERENCE_IMPEDANCE
     _require_double_range(r_peak=r_peak, n_squared=n_sq)
     # numpy divides by n_sq as a product with 1 / n_sq: bound that product.
     _require_double_range(input_resistance=r_peak * (1 / n_sq))
@@ -234,7 +201,7 @@ def s11_spectrum(geometry: PatchGeometry, conductor: ConductorSpec,
     # resonance gives 1 + i inf (and z_in its limit 0), not 0 * inf = nan.
     denominator = np.ones(points, dtype=complex)
     with np.errstate(over="ignore"):
-        denominator.imag = q * (freqs / f_res - f_res / freqs)
+        denominator.imag = qf.q_total * (freqs / f_res - f_res / freqs)
     z_in = (r_peak / denominator) / n_sq
     gamma = (z_in - REFERENCE_IMPEDANCE) / (z_in + REFERENCE_IMPEDANCE)
     with np.errstate(divide="ignore"):
@@ -306,8 +273,7 @@ def evaluate(geometry: PatchGeometry, conductor: ConductorSpec,
     7e-145 over q_radiation 3e179 at 1 GHz, h 1e-150 m, eps_r 8e30).
     """
     spectrum = s11_spectrum(geometry, conductor, band, points)
-    f_res = graphene_resonance(geometry, conductor)
-    qf = q_factors(geometry, conductor, f_res)
+    f_res, qf, _ = _resonator(geometry, conductor)
     d_dbi = directivity_dbi(geometry, f_res)
     report = AntennaReport(
         resonant_frequency=f_res,

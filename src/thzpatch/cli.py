@@ -23,12 +23,13 @@ import math
 import sys
 from typing import Sequence
 
-from .circuit import ConductorSpec, gain_report, graphene_resonance
+from .circuit import gain_report
 from .config import parse_config, parse_quantity, parse_quantity_list
 from .errors import NumericalError, ValidationError
 from .fdtd import Grid1D, max_abs_error, run_sheet_scattering
 from .materials import GrapheneSheet, kubo_sigma
-from .patch import SubstrateSpec, design_patch, f_res_metal, patch_for_target
+from .patch import (ConductorSpec, SubstrateSpec, design_patch, f_res_metal,
+                    graphene_resonance, patch_for_target)
 from .spp import (DielectricHalfspaces, spp_wavenumber_asymmetric,
                   spp_wavenumber_symmetric)
 from .sweep import (SUMMARY_HEADER, emit, fmt9, format_table, json_records,
@@ -129,6 +130,9 @@ def _cmd_spp(args: argparse.Namespace) -> int:
     asymmetric = (args.eps_above is not None) or (args.eps_below is not None)
     if asymmetric and (args.eps_above is None or args.eps_below is None):
         raise ValidationError("--eps-above and --eps-below go together")
+    if asymmetric and args.eps is not None:
+        raise ValidationError("--eps does not go with --eps-above/--eps-below")
+    eps = 1.0 if args.eps is None else args.eps
 
     columns = ["freq_GHz", "q_re_rad_per_m", "q_im_rad_per_m", "confinement",
                "lambda_spp_um", "L_prop_um"]
@@ -140,7 +144,7 @@ def _cmd_spp(args: argparse.Namespace) -> int:
             sol = spp_wavenumber_asymmetric(
                 sigma, DielectricHalfspaces(args.eps_above, args.eps_below), w)
         else:
-            sol = spp_wavenumber_symmetric(sigma, args.eps, w)
+            sol = spp_wavenumber_symmetric(sigma, eps, w)
         rows.append((f / 1e9, sol.wavenumber.real, sol.wavenumber.imag,
                      sol.confinement_ratio, sol.spp_wavelength * 1e6,
                      sol.propagation_length * 1e6))
@@ -162,7 +166,7 @@ def _cmd_fdtd_check(args: argparse.Namespace) -> int:
                  float(f) / 1e9, r.real, r.imag, t.real, t.imag, float(a))
                 for f, r, t, a in zip(result.frequencies, result.reflection,
                                       result.transmission, result.absorption)]
-        _emit(columns, rows, "csv", args.out)
+        _emit(columns, rows, args.format or "csv", args.out)
     print(f"max_abs_error = {err:.9g}")
     if err >= FDTD_ERROR_THRESHOLD:
         print(f"error exceeds the {FDTD_ERROR_THRESHOLD} accuracy threshold",
@@ -255,8 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sheet_flags(p)
     p.add_argument("--f", default="220:325:5 GHz",
                    help="frequency list or start:stop:step range")
-    p.add_argument("--eps", type=float, default=1.0,
-                   help="symmetric environment permittivity")
+    p.add_argument("--eps", type=float, default=None,
+                   help="symmetric environment permittivity (default 1)")
     p.add_argument("--eps-above", type=float, default=None,
                    help="permittivity above the sheet (with --eps-below)")
     p.add_argument("--eps-below", type=float, default=None,

@@ -51,10 +51,8 @@ def require_frequency(value: float, field: str) -> None:
         raise ValidationError(f"must be >= {MIN_FREQUENCY:g}", field=field)
 
 
-# Samples per spectrum. fdtd-check costs most per sample: at tau 5 ps and
-# resolution 400, a first run at 1000 samples takes 0.6 s of CPU and
-# 44 MiB peak (Python 3.11, a 2-vCPU VM); at resolution 1600, 1.5-2.1 s and
-# 58 MiB.
+# Samples per spectrum. fdtd-check costs most per sample, and at this cap
+# its slowest first run stays near a second (README).
 MAX_POINTS = 1000
 
 

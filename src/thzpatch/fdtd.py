@@ -66,9 +66,7 @@ RINGDOWN_TAUS = 16.0
 RINGDOWN_WIDTHS = 8.0
 BASE_RESOLUTION = 100
 # Cost grows faster than the resolution: the two sheet-free marches take
-# cells x steps. At tau = 5 ps and 1000 points, a first run at resolution 400
-# takes 0.6 s of CPU and 44 MiB peak, at 1600 1.5-2.1 s and 58 MiB (median
-# of 5 fresh processes, user + system; Python 3.11, numpy 2.4, 2-vCPU VM).
+# cells x steps. This cap keeps the slowest first run near a second (README).
 MAX_RESOLUTION = 1600
 BASE_PAD_CELLS = 45
 COURANT_NUMBER = 0.99

@@ -9,10 +9,12 @@ length extension, and resonant length
     dL    = 0.412 h (e_eff + 0.3)(W/h + 0.264) / ((e_eff - 0.258)(W/h + 0.8))
     L     = c / (2 f sqrt(e_eff)) - 2 dL
 
-plus its inverse, the resonance of a given geometry. A graphene sheet's
-kinetic inductance L_k adds to the line's magnetic inductance mu0 h and
-divides the resonance by sqrt(1 + L_k / (mu0 h)); the inverse design keeps
-the metal width and solves for L at the target times that factor.
+plus its inverse, the resonance of a given geometry. The patch conductor
+is aluminum or a graphene sheet (ConductorSpec). A sheet's kinetic
+inductance L_k adds to the line's magnetic inductance mu0 h and divides the
+resonance by sqrt(1 + L_k / (mu0 h)) (graphene_resonance); the inverse
+design keeps the metal width and solves for L at the target times that
+factor.
 """
 
 from __future__ import annotations
@@ -51,6 +53,26 @@ class SubstrateSpec:
         if self.thickness < MIN_THICKNESS_M:
             raise ValidationError(f"must be >= {MIN_THICKNESS_M:g} m",
                                   field="thickness")
+
+
+@dataclass(frozen=True)
+class ConductorSpec:
+    """The patch conductor: a graphene sheet, or aluminum when sheet is None.
+
+    Use the metal() / graphene() constructors.
+    """
+
+    sheet: GrapheneSheet | None = None
+
+    @classmethod
+    def metal(cls) -> "ConductorSpec":
+        return cls()
+
+    @classmethod
+    def graphene(cls, sheet: GrapheneSheet) -> "ConductorSpec":
+        if sheet is None:
+            raise ValidationError("graphene conductor needs a sheet")
+        return cls(sheet)
 
 
 @dataclass(frozen=True)
@@ -149,6 +171,16 @@ def f_res_metal(geometry: PatchGeometry) -> float:
         * math.sqrt(geometry.eps_eff))
 
 
+def graphene_resonance(geometry: PatchGeometry,
+                       conductor: ConductorSpec) -> float:
+    """Resonance of the patch with its conductor, in Hz: the cavity
+    resonance, divided by the kinetic pull for a graphene sheet."""
+    f_metal = f_res_metal(geometry)
+    if conductor.sheet is None:
+        return f_metal
+    return f_metal / kinetic_pull(conductor.sheet, geometry.substrate)
+
+
 def patch_for_target(target_frequency: float, substrate: SubstrateSpec,
                      sheet: GrapheneSheet) -> PatchGeometry:
     """Shrink the patch length so a graphene patch resonates at the target.
@@ -169,8 +201,9 @@ def patch_for_target(target_frequency: float, substrate: SubstrateSpec,
                               metal.fringing_extension)
     if length < metal.length / 2:
         half = PatchGeometry(metal.width, metal.length / 2, substrate)
+        f_half = graphene_resonance(half, ConductorSpec.graphene(sheet))
         raise BracketError(
             f"graphene resonance at half the metal length is "
-            f"{f_res_metal(half) / pull / 1e9:.3f} GHz, still below the "
+            f"{f_half / 1e9:.3f} GHz, still below the "
             f"{target_frequency / 1e9:.3f} GHz target")
     return PatchGeometry(metal.width, length, substrate)

@@ -34,11 +34,11 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .circuit import AntennaReport, ConductorSpec, Spectrum, evaluate
+from .circuit import AntennaReport, Spectrum, evaluate
 from .config import RunConfig
 from .errors import ThzPatchError, ValidationError
 from .materials import GrapheneSheet
-from .patch import design_patch
+from .patch import ConductorSpec, design_patch
 
 SPECTRA_HEADER = "variant,fermi_eV,tau_ps,freq_GHz,s11_dB,Rin_ohm,Xin_ohm"
 SUMMARY_HEADER = ("variant,fermi_eV,tau_ps,f_res_GHz,min_s11_dB,bw_GHz,"

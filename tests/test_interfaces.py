@@ -35,6 +35,15 @@ def test_traced_functions_exist(monkeypatch):
                 f"thzpatch.{layer}.{name}"
 
 
+@pytest.mark.parametrize("name", ["graphene_resonance", "ConductorSpec"])
+def test_circuit_binds_the_patch_definition(name):
+    # bench/tracing.py wraps a function in every module that binds the same
+    # object, so a second definition in circuit would escape traced runs.
+    patch = importlib.import_module("thzpatch.patch")
+    circuit = importlib.import_module("thzpatch.circuit")
+    assert getattr(circuit, name) is getattr(patch, name)
+
+
 @pytest.mark.parametrize("demo", DEMOS)
 def test_demo_runs(capsys, demo):
     runpy.run_path(str(ROOT / "demos" / demo), run_name="__main__")

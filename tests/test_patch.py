@@ -15,7 +15,7 @@ from thzpatch import (BracketError, GrapheneSheet, InfeasibleDesignError,
                       PatchGeometry, SubstrateSpec, ValidationError,
                       design_patch, f_res_metal, graphene_resonance,
                       patch_for_target)
-from thzpatch.circuit import ConductorSpec
+from thzpatch.patch import ConductorSpec
 
 C0 = 299792458.0
 

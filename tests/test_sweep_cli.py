@@ -420,6 +420,18 @@ def test_cli_spp_halfspace_flags_go_together(capsys):
     assert "go together" in capsys.readouterr().err
 
 
+def test_cli_spp_eps_with_halfspace_flags_is_a_usage_error(capsys):
+    # --eps sets the symmetric environment; the asymmetric solve never
+    # reads it, so naming both must not silently drop --eps.
+    code = cli_main(["spp", "--ef", "1.2eV", "--tau", "1.2ps",
+                     "--f", "280GHz", "--eps", "4", "--eps-above", "1",
+                     "--eps-below", "3.5"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "--eps does not go with --eps-above/--eps-below" in err
+
+
 def test_cli_fdtd_check(tmp_path, capsys):
     csv_path = tmp_path / "scatter.csv"
     code = cli_main(["fdtd-check", "--ef", "1.2eV", "--tau", "1.2ps",
@@ -433,6 +445,20 @@ def test_cli_fdtd_check(tmp_path, capsys):
     assert header == ("variant,fermi_eV,tau_ps,freq_GHz,r_real,r_imag,"
                       "t_real,t_imag,absorption")
     assert len(csv_path.read_text().splitlines()) == 1 + 11
+
+
+def test_cli_fdtd_check_json_output(tmp_path, capsys):
+    json_path = tmp_path / "scatter.json"
+    code = cli_main(["fdtd-check", "--ef", "1.2eV", "--tau", "1.2ps",
+                     "--resolution", "100", "--points", "3",
+                     "--format", "json", "--out", str(json_path), "--quiet"])
+    assert code == 0
+    assert capsys.readouterr().out.startswith("max_abs_error = ")
+    with open(json_path, encoding="utf-8") as fh:
+        records = json.load(fh)
+    assert [r["freq_GHz"] for r in records] == [220.0, 272.5, 325.0]
+    assert all(r["variant"] == "graphene" and r["fermi_eV"] == 1.2
+               for r in records)
 
 
 @pytest.mark.parametrize("resolution", ["0", "-5", "99", "1601",
