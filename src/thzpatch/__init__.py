@@ -7,6 +7,8 @@ impedance and radiation quantities, a one-dimensional time-domain
 cross-check of the sheet response, and batch sweeps with CSV/JSON output.
 """
 
+import types as _types
+
 from .circuit import (ALUMINUM_CONDUCTIVITY, REFERENCE_IMPEDANCE,
                       AntennaReport, QFactors, Spectrum, SpectrumResult,
                       bandwidth_minus10db, directivity_dbi, evaluate,
@@ -36,70 +38,7 @@ from .sweep import (SPECTRA_HEADER, SUMMARY_HEADER, SweepCellResult, emit,
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ALUMINUM_CONDUCTIVITY",
-    "AntennaReport",
-    "BracketError",
-    "CODATA2018",
-    "ConductorSpec",
-    "ConfigError",
-    "ConfinementCell",
-    "ConvergenceError",
-    "DielectricHalfspaces",
-    "FERMI_LEVEL_RANGE_EV",
-    "GrapheneSheet",
-    "Grid1D",
-    "InfeasibleDesignError",
-    "InstabilityError",
-    "NoBoundModeError",
-    "NumericalError",
-    "PatchGeometry",
-    "QFactors",
-    "REFERENCE_IMPEDANCE",
-    "RELAXATION_RANGE_S",
-    "RunConfig",
-    "SPECTRA_HEADER",
-    "SUMMARY_HEADER",
-    "SheetConductivity",
-    "SheetImpedance",
-    "SheetScatteringResult",
-    "SppSolution",
-    "Spectrum",
-    "SpectrumResult",
-    "SubstrateSpec",
-    "SweepCellResult",
-    "SweepGrid",
-    "ThzPatchError",
-    "UnitError",
-    "ValidationError",
-    "analytic_sheet_coefficients",
-    "bandwidth_minus10db",
-    "cli_main",
-    "compare_fdtd_analytic",
-    "confinement_sweep",
-    "design_patch",
-    "directivity_dbi",
-    "drude_weight",
-    "emit",
-    "evaluate",
-    "f_res_metal",
-    "gain_report",
-    "graphene_resonance",
-    "kubo_sigma",
-    "mobility",
-    "mutual_conductance_ratio",
-    "parse_config",
-    "parse_quantity",
-    "parse_quantity_list",
-    "patch_for_target",
-    "q_factors",
-    "refinement_study",
-    "relaxation_from_mobility",
-    "run_drude_scattering",
-    "run_sheet_scattering",
-    "run_sweep",
-    "s11_spectrum",
-    "sheet_impedance",
-    "spp_wavenumber_asymmetric",
-    "spp_wavenumber_symmetric",
-]
+# So that a star import and pydoc see the imported names, not submodules.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_")
+                 and not isinstance(value, _types.ModuleType))

@@ -153,6 +153,9 @@ def _cmd_spp(args: argparse.Namespace) -> int:
 
 
 def _cmd_fdtd_check(args: argparse.Namespace) -> int:
+    if args.format is not None and args.out is None:
+        raise ValidationError("fdtd-check prints only max_abs_error; "
+                              "--format needs --out")
     sheet = _sheet_from_args(args)
     grid = Grid1D.for_resolution(args.resolution)
     band = (parse_quantity(args.band_lo, "frequency", "--band-lo"),

@@ -131,8 +131,11 @@ def write_atomic(path: str, chunks: Iterable[str]) -> None:
 
     The text goes to a temporary file beside path, which replaces path
     only once it is complete; on any error the temporary file is removed.
+    A missing parent directory of path is made first.
     """
     head, name = os.path.split(path)
+    if head:
+        os.makedirs(head, exist_ok=True)
     tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
     fh = open(tmp, "w", newline="\n")
     try:
@@ -235,9 +238,6 @@ def emit(results: list[SweepCellResult], output_format: str,
     """
     if output_format not in ("csv", "json"):
         raise ValidationError("output_format must be csv or json")
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
 
     solved = [cell for cell in results if cell.report is not None]
     summary = [summary_row(c.variant, c.fermi_ev, c.tau_ps, c.report)

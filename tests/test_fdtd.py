@@ -176,6 +176,28 @@ def test_cached_reference_is_read_only_and_bounded(monkeypatch):
         == others[1:] + [100, 200]
 
 
+@pytest.mark.parametrize("resolution", [100, 200, 400])
+def test_kick_response_is_a_legendre_polynomial(resolution):
+    # On an unbounded 1-D Yee line, a unit E kick at a node leaves E there
+    # equal to P_k(1 - 2 S^2) after k steps, S the Courant number (the
+    # discrete Green's function). It holds until the Mur boundary's echo
+    # returns, 2(M - s) - 1 steps after the kick. S^2 is the grid's own
+    # ch * ce, which differs from COURANT_NUMBER^2 in the last digits.
+    grid = Grid1D(resolution)
+    s, n_clean = grid.sheet_index, 2 * (grid.cell_count - 1 - grid.sheet_index)
+    rec = fdtd._march(grid, s, [1.0] + [0.0] * (n_clean - 2))
+    dx, dt = grid.cell_size, grid.time_step
+    x = 1 - 2 * ((dt / (CODATA2018.vacuum_permeability * dx))
+                 * (dt / (CODATA2018.vacuum_permittivity * dx)))
+    legendre = [1.0, x]
+    for k in range(1, n_clean - 2):
+        legendre.append(((2 * k + 1) * x * legendre[k]
+                         - k * legendre[k - 1]) / (k + 1))
+    # Row 2 is E at the sheet node before the drive, so step 0 reads 0.
+    assert rec[2, 0] == 0.0
+    assert np.max(np.abs(rec[2, 1:] - legendre[1:])) <= 1e-13
+
+
 def test_vacuum_run_is_exact():
     # With zero Drude weight the sheet current never turns on, so the
     # reference and scattering marches are identical sample by sample.

@@ -10,9 +10,12 @@ import importlib
 import importlib.util
 import runpy
 import sys
+import types
 from pathlib import Path
 
 import pytest
+
+import thzpatch
 
 ROOT = Path(__file__).parent.parent
 DEMOS = sorted(p.name for p in (ROOT / "demos").glob("*.py"))
@@ -42,6 +45,25 @@ def test_circuit_binds_the_patch_definition(name):
     patch = importlib.import_module("thzpatch.patch")
     circuit = importlib.import_module("thzpatch.circuit")
     assert getattr(circuit, name) is getattr(patch, name)
+
+
+def test_star_import_binds_exactly_the_exported_names():
+    namespace = {}
+    exec("from thzpatch import *", namespace)
+    del namespace["__builtins__"]
+    assert set(namespace) == set(thzpatch.__all__)
+    assert not [name for name, value in namespace.items()
+                if isinstance(value, types.ModuleType)]
+
+
+def test_exported_names_are_their_definitions():
+    # bench/tracing.py wraps functions by identity, so each exported class
+    # and function must be the object its defining module binds.
+    exported = [getattr(thzpatch, name) for name in thzpatch.__all__]
+    assert [obj for obj in exported if callable(obj) and (
+        not obj.__module__.startswith("thzpatch.")
+        or getattr(sys.modules[obj.__module__], obj.__name__) is not obj)] \
+        == []
 
 
 @pytest.mark.parametrize("demo", DEMOS)

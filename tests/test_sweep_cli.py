@@ -461,6 +461,23 @@ def test_cli_fdtd_check_json_output(tmp_path, capsys):
                for r in records)
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_cli_fdtd_check_format_without_out_is_a_usage_error(
+        monkeypatch, capsys, fmt):
+    # The format flag shapes only the --out table, so on its own it is
+    # rejected before any FDTD work.
+    def no_run(*args):
+        raise AssertionError("ran the FDTD")
+
+    monkeypatch.setattr(cli, "run_sheet_scattering", no_run)
+    assert cli_main(["fdtd-check", "--ef", "1.2eV", "--tau", "1.2ps",
+                     "--format", fmt]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: fdtd-check prints only max_abs_error; "
+                            "--format needs --out\n")
+
+
 @pytest.mark.parametrize("resolution", ["0", "-5", "99", "1601",
                                         "100000000"])
 def test_cli_fdtd_check_resolution_outside_range_is_a_usage_error(
@@ -700,6 +717,15 @@ def test_cli_sweep_runs_config(tmp_path, capsys):
                      "--out", str(tmp_path / "j"), "--quiet"]) == 0
     doc = json.loads((tmp_path / "j.json").read_text())
     assert len(doc["summary"]) == 5
+
+
+def test_cli_out_makes_missing_directories(tmp_path, capsys):
+    out = tmp_path / "new" / "dir" / "d.json"
+    assert cli_main(["design", "--f0", "280GHz", "--format", "json",
+                     "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads(out.read_text())["f_res_GHz"] == 280.0
+    assert os.listdir(out.parent) == ["d.json"]
 
 
 def test_cli_sweep_missing_file(tmp_path, capsys):
