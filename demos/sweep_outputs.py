@@ -19,12 +19,12 @@ config = parse_config(config_path.read_text())
 print(f"config: {config_path.name}")
 print(f"  design frequency  {config.design_frequency / 1e9:.0f} GHz")
 print(f"  fermi levels      "
-      f"{', '.join(f'{v:g}' for v in config.sweep.fermi_levels)} eV")
+      f"{', '.join(f'{v:g}' for v in config.fermi_levels)} eV")
 print(f"  relaxation times  "
-      f"{', '.join(f'{v:g}' for v in config.sweep.relaxation_times)} ps")
-print(f"  band              {config.sweep.frequency_band[0] / 1e9:.0f}-"
-      f"{config.sweep.frequency_band[1] / 1e9:.0f} GHz, "
-      f"{config.sweep.frequency_points} points")
+      f"{', '.join(f'{v:g}' for v in config.relaxation_times)} ps")
+print(f"  band              {config.frequency_band[0] / 1e9:.0f}-"
+      f"{config.frequency_band[1] / 1e9:.0f} GHz, "
+      f"{config.frequency_points} points")
 
 results = run_sweep(config)
 solved = sum(1 for c in results if c.error is None)

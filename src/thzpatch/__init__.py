@@ -15,7 +15,7 @@ from .circuit import (ALUMINUM_CONDUCTIVITY, REFERENCE_IMPEDANCE,
                       gain_report, mutual_conductance_ratio, q_factors,
                       s11_spectrum)
 from .cli import cli_main
-from .config import (RunConfig, SweepGrid, parse_config, parse_quantity,
+from .config import (RunConfig, parse_config, parse_quantity,
                      parse_quantity_list)
 from .constants import CODATA2018
 from .errors import (BracketError, ConfigError, ConvergenceError,

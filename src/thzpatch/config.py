@@ -65,31 +65,24 @@ _QUANTITY_RE = re.compile(r"^([-+]?[0-9.]+(?:[eE][-+]?[0-9]+)?)\s*([A-Za-zµ]*)$
 
 
 @dataclass(frozen=True)
-class SweepGrid:
-    """Parameter grid of one sweep.
+class RunConfig:
+    """Everything one sweep run needs, fully validated.
 
     fermi_levels in eV, relaxation_times in ps, frequency_band in Hz.
     variants names the conductors ("metal", "graphene") in input order;
     graphene is evaluated at every (fermi, tau) cell.
     """
 
+    substrate: SubstrateSpec
+    design_frequency: float
     fermi_levels: list[float]
     relaxation_times: list[float]
     frequency_band: tuple[float, float]
     frequency_points: int
     variants: list[str]
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one sweep run needs, fully validated."""
-
-    substrate: SubstrateSpec
-    design_frequency: float
-    sweep: SweepGrid
+    temperature: float
     output_format: str
     output_path: str
-    temperature: float = 300.0
 
 
 def _ctx(key: str, line: int) -> str:
@@ -310,6 +303,5 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"{_ctx(key, pairs[key][1])}: {exc.reason}") \
             from None
 
-    return RunConfig(substrate, f_design,
-                     SweepGrid(fermi, taus, band, points, variants), fmt,
-                     pairs["path"][0], temperature)
+    return RunConfig(substrate, f_design, fermi, taus, band, points,
+                     variants, temperature, fmt, pairs["path"][0])

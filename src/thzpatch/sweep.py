@@ -60,8 +60,8 @@ class SweepCellResult:
 def run_sweep(config: RunConfig) -> list[SweepCellResult]:
     """Evaluate every cell of the sweep; cells record their own failures."""
     geometry = design_patch(config.design_frequency, config.substrate)
-    band = config.sweep.frequency_band
-    points = config.sweep.frequency_points
+    band = config.frequency_band
+    points = config.frequency_points
 
     cells: list[SweepCellResult] = []
 
@@ -75,12 +75,12 @@ def run_sweep(config: RunConfig) -> list[SweepCellResult]:
         return SweepCellResult(variant, fermi_ev, tau_ps, report, spectrum,
                                None)
 
-    for variant in config.sweep.variants:
+    for variant in config.variants:
         if variant == "metal":
             cells.append(solve("metal", None, None, ConductorSpec.metal()))
             continue
-        for ef in config.sweep.fermi_levels:
-            for tau_ps in config.sweep.relaxation_times:
+        for ef in config.fermi_levels:
+            for tau_ps in config.relaxation_times:
                 sheet = GrapheneSheet(fermi_level=ef,
                                       relaxation_time=tau_ps * 1e-12,
                                       temperature=config.temperature)
@@ -131,9 +131,11 @@ def write_atomic(path: str, chunks: Iterable[str]) -> None:
 
     The text goes to a temporary file beside path, which replaces path
     only once it is complete; on any error the temporary file is removed.
-    A missing parent directory of path is made first.
+    A path naming no file, or a directory, fails; missing parents are made.
     """
     head, name = os.path.split(path)
+    if not name or os.path.isdir(path):
+        raise ValidationError(f"output path {path!r} does not name a file")
     if head:
         os.makedirs(head, exist_ok=True)
     tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")

@@ -147,11 +147,11 @@ def test_good_config_parses():
     assert cfg.substrate.loss_tangent == 0.0027
     assert cfg.substrate.thickness == pytest.approx(50e-6, rel=1e-15)
     assert cfg.design_frequency == 280e9
-    assert cfg.sweep.fermi_levels == pytest.approx([0.3, 0.6, 0.9, 1.2])
-    assert cfg.sweep.relaxation_times == pytest.approx([0.3, 0.6, 0.9, 1.2])
-    assert cfg.sweep.frequency_band == (220e9, 325e9)
-    assert cfg.sweep.frequency_points == 211
-    assert cfg.sweep.variants == ["metal", "graphene"]
+    assert cfg.fermi_levels == pytest.approx([0.3, 0.6, 0.9, 1.2])
+    assert cfg.relaxation_times == pytest.approx([0.3, 0.6, 0.9, 1.2])
+    assert cfg.frequency_band == (220e9, 325e9)
+    assert cfg.frequency_points == 211
+    assert cfg.variants == ["metal", "graphene"]
     assert cfg.output_format == "csv"
     assert cfg.output_path == "out"
     assert cfg.temperature == 300.0
@@ -216,7 +216,7 @@ def test_section_and_key_errors_carry_line_numbers():
 def test_comments_and_blank_lines_are_ignored():
     text = GOOD.replace("points = 211",
                         "points = 211  # fine grid\n\n; trailing note")
-    assert parse_config(text).sweep.frequency_points == 211
+    assert parse_config(text).frequency_points == 211
 
 
 def test_value_range_checks():
@@ -294,7 +294,7 @@ def test_sample_grid_rule_names_key_and_line(band, points, reason):
     # the config adds no band range of its own.
     text = _with({"band": band, "points": points})
     if reason is None:
-        assert parse_config(text).sweep.frequency_band[1] > 0
+        assert parse_config(text).frequency_band[1] > 0
         return
     with pytest.raises(ConfigError,
                        match=rf"^line 13: key 'band': {re.escape(reason)}$"):
@@ -316,7 +316,7 @@ def test_sweep_samples_are_capped_at_parse_time():
     grid = {"fermi_levels": "0.1:0.599:0.001 eV", "relaxation_times": "1 ps",
             "points": str(MAX_POINTS)}
     cfg = parse_config(_with({**grid, "variants": "graphene"}))
-    assert len(cfg.sweep.fermi_levels) == 500
+    assert len(cfg.fermi_levels) == 500
     with pytest.raises(ConfigError,
                        match=rf"^line 14: key 'points': 501 cells x "
                              rf"{MAX_POINTS} points exceed "
@@ -339,12 +339,12 @@ def test_sheet_values_are_validated_once_each(monkeypatch):
     monkeypatch.setattr(config, "GrapheneSheet", counting_sheet)
     cfg = parse_config(_with({"fermi_levels": "0.1:1.5:0.1 eV",
                               "relaxation_times": "0.1:3.0:0.1 ps"}))
-    n, m = len(cfg.sweep.fermi_levels), len(cfg.sweep.relaxation_times)
+    n, m = len(cfg.fermi_levels), len(cfg.relaxation_times)
     assert (n, m) == (15, 30)
     assert len(built) <= n + m
-    assert sorted({ef for ef, _, _ in built}) == cfg.sweep.fermi_levels
+    assert sorted({ef for ef, _, _ in built}) == cfg.fermi_levels
     assert sorted({tau for _, tau, _ in built}) == pytest.approx(
-        [tau_ps * 1e-12 for tau_ps in cfg.sweep.relaxation_times])
+        [tau_ps * 1e-12 for tau_ps in cfg.relaxation_times])
 
 
 def test_pads_section_is_unknown():

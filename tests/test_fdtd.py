@@ -369,6 +369,26 @@ def test_superposed_sheet_run_matches_a_direct_march(monkeypatch, ef, tau_ps,
             <= 1e-12 * np.max(np.abs(want_row))
 
 
+# Any sheet run_drude_scattering accepts: the Drude weight up to its bound,
+# tau log-uniform from far below a time step to the longest GrapheneSheet
+# accepts. Each example marches once, 30 ms at resolution 200 and 5 ps.
+@settings(max_examples=100, deadline=None)
+@given(drude_a=st.floats(0.0, fdtd.MAX_DRUDE_WEIGHT),
+       log_tau=st.floats(math.log(1e-18), math.log(5e-12)),
+       resolution=st.sampled_from([100, 200]))
+def test_superposed_sheet_run_matches_a_direct_march_on_any_sheet(
+        drude_a, log_tau, resolution):
+    grid = Grid1D(resolution)
+    tau = math.exp(log_tau)
+    n_steps = fdtd._step_count(grid, tau)
+    got = fdtd._sheet(grid, drude_a, tau, fdtd._reference(grid, n_steps))
+    want = _direct_march(grid, drude_a, tau, n_steps)
+    assert got.shape == want.shape
+    for got_row, want_row in zip(got, want):
+        assert np.max(np.abs(got_row - want_row)) \
+            <= 1e-12 * np.max(np.abs(want_row))
+
+
 def test_superposed_guard_trips_at_the_step_of_a_direct_march(monkeypatch):
     monkeypatch.setattr(fdtd, "_REFERENCES", {})
     grid = Grid1D(100)

@@ -11,10 +11,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from thzpatch import (DielectricHalfspaces, GrapheneSheet, NoBoundModeError,
-                      SheetConductivity, ValidationError, confinement_sweep,
-                      kubo_sigma, spp_wavenumber_asymmetric,
-                      spp_wavenumber_symmetric)
+from thzpatch import (ConvergenceError, DielectricHalfspaces, GrapheneSheet,
+                      NoBoundModeError, SheetConductivity, ValidationError,
+                      cli_main, confinement_sweep, kubo_sigma, spp,
+                      spp_wavenumber_asymmetric, spp_wavenumber_symmetric)
 
 C0 = 299792458.0
 EPS0 = 8.8541878128e-12
@@ -160,6 +160,24 @@ def test_asymmetric_residual_contract():
     sol = spp_wavenumber_asymmetric(sigma, halves, W_280)
     res = dispersion_residual(sigma.value, 1.0, 3.5, W_280, sol.wavenumber)
     assert res < 1e-10
+
+
+def test_asymmetric_residual_miss_raises_convergence_error(monkeypatch,
+                                                          capsys):
+    # No polished residual is below 0, so every solve misses the target;
+    # the error carries the residual it reached, as data and in its text.
+    monkeypatch.setattr(spp, "NEWTON_REL_RESIDUAL", 0.0)
+    with pytest.raises(ConvergenceError) as exc:
+        spp_wavenumber_asymmetric(graphene_sigma(1.2, 1.2),
+                                  DielectricHalfspaces(1.0, 3.5), W_280)
+    residual = exc.value.last_residual
+    assert math.isfinite(residual) and residual >= 0
+    assert f"{residual:.3e}" in str(exc.value)
+    assert cli_main(["spp", "--ef", "1.2eV", "--tau", "1.2ps", "--f",
+                     "280GHz", "--eps-above", "1", "--eps-below", "3.5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {exc.value}\n"
 
 
 def test_asymmetric_degenerates_to_symmetric():

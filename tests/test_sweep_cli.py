@@ -701,6 +701,21 @@ def test_cli_resize_infeasible_target_is_a_numerical_failure(capsys):
     assert "280.000 GHz target" in lines[0]
 
 
+def test_emit_onto_a_directory_is_rejected(tmp_path, small_results):
+    # base + ".json" is a directory: emit fails with that path and leaves
+    # the directory as it was, with no temporary file beside it.
+    base = str(tmp_path / "out")
+    (tmp_path / "out.json").mkdir()
+    (tmp_path / "out.json" / "keep.txt").write_text("kept")
+    with pytest.raises(ValidationError) as exc:
+        emit(small_results, "json", base)
+    assert str(exc.value) == (f"output path {base + '.json'!r} does not "
+                              f"name a file")
+    assert os.listdir(tmp_path) == ["out.json"]
+    assert os.listdir(tmp_path / "out.json") == ["keep.txt"]
+    assert (tmp_path / "out.json" / "keep.txt").read_text() == "kept"
+
+
 def test_cli_sweep_runs_config(tmp_path, capsys):
     out_base = tmp_path / "run"
     cfg = SMALL_CONFIG.replace("path = out", f"path = {out_base}")
@@ -726,6 +741,25 @@ def test_cli_out_makes_missing_directories(tmp_path, capsys):
     assert capsys.readouterr().err == ""
     assert json.loads(out.read_text())["f_res_GHz"] == 280.0
     assert os.listdir(out.parent) == ["d.json"]
+
+
+@pytest.mark.parametrize("out", ["", "dir"], ids=["empty", "directory"])
+def test_cli_out_that_names_no_file_is_a_usage_error(tmp_path, monkeypatch,
+                                                     capsys, out):
+    # Rejected with the path as given, before a temporary file is made
+    # beside it, rather than as a failed rename of that file.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "dir" / "keep.txt").write_text("kept")
+    if out:
+        out = str(tmp_path / out)
+    assert cli_main(["design", "--f0", "280GHz", "--out", out]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: output path {out!r} does not name a file\n"
+    assert os.listdir(tmp_path) == ["dir"]
+    assert os.listdir(tmp_path / "dir") == ["keep.txt"]
+    assert (tmp_path / "dir" / "keep.txt").read_text() == "kept"
 
 
 def test_cli_sweep_missing_file(tmp_path, capsys):
