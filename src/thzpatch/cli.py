@@ -18,10 +18,8 @@ or the --out path.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
-from typing import Sequence
 
 from .circuit import gain_report
 from .config import parse_config, parse_quantity, parse_quantity_list
@@ -32,34 +30,13 @@ from .patch import (ConductorSpec, SubstrateSpec, design_patch, f_res_metal,
                     graphene_resonance, patch_for_target)
 from .spp import (DielectricHalfspaces, spp_wavenumber_asymmetric,
                   spp_wavenumber_symmetric)
-from .sweep import (SUMMARY_HEADER, emit, fmt9, format_table, json_records,
-                    run_sweep, summary_row, write_atomic)
+from .sweep import SUMMARY_HEADER, emit, run_sweep, summary_row, write_table
 
 FDTD_ERROR_THRESHOLD = 0.01
 
 RESIZE_NOTE = ("published reference design reports a 220 um resized length; "
                "this model family cannot reproduce that from a 6 % resonance "
                "shift and reports its own inverse-design value instead")
-
-
-def _emit(columns: Sequence[str], rows: list[Sequence], fmt: str | None,
-          out_path: str | None, record: bool = False) -> None:
-    """Rows as a tab-separated table, CSV or JSON, to out_path or stdout.
-
-    A record is a single row; as plain text it reads `key = value` per
-    line, and as JSON it is one object rather than a list.
-    """
-    if fmt == "json":
-        doc = json_records(columns, rows)
-        body = json.dumps(doc[0] if record else doc, indent=2) + "\n"
-    elif fmt is None and record:
-        body = "".join(f"{k} = {fmt9(v)}\n" for k, v in zip(columns, rows[0]))
-    else:
-        body = format_table(columns, rows, "," if fmt == "csv" else "\t")
-    if out_path is None:
-        sys.stdout.write(body)
-    else:
-        write_atomic(out_path, [body])
 
 
 def _substrate_from_args(args: argparse.Namespace) -> SubstrateSpec:
@@ -82,12 +59,12 @@ def _cmd_design(args: argparse.Namespace) -> int:
     substrate = _substrate_from_args(args)
     f0 = parse_quantity(args.f0, "frequency", "--f0")
     geom = design_patch(f0, substrate)
-    _emit(("W_um", "L_um", "eps_eff", "dL_um", "substrate_W_um",
-           "substrate_L_um", "f_res_GHz"),
-          [(geom.width * 1e6, geom.length * 1e6, geom.eps_eff,
-            geom.fringing_extension * 1e6, geom.substrate_width * 1e6,
-            geom.substrate_length * 1e6, f_res_metal(geom) / 1e9)],
-          args.format, args.out, record=True)
+    write_table(("W_um", "L_um", "eps_eff", "dL_um", "substrate_W_um",
+                 "substrate_L_um", "f_res_GHz"),
+                [(geom.width * 1e6, geom.length * 1e6, geom.eps_eff,
+                  geom.fringing_extension * 1e6, geom.substrate_width * 1e6,
+                  geom.substrate_length * 1e6, f_res_metal(geom) / 1e9)],
+                args.format, args.out, record=True)
     return 0
 
 
@@ -102,8 +79,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                          args.points)
     row = summary_row("graphene", sheet.fermi_level,
                       sheet.relaxation_time * 1e12, report)
-    _emit(SUMMARY_HEADER.split(","), [row], args.format, args.out,
-          record=True)
+    write_table(SUMMARY_HEADER.split(","), [row], args.format, args.out,
+                record=True)
     return 0
 
 
@@ -116,7 +93,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             print(f"cell ({cell.variant}, {cell.fermi_ev}, {cell.tau_ps}) "
                   f"failed: {cell.error}", file=sys.stderr)
     fmt = args.format or config.output_format
-    path = args.out or config.output_path
+    path = config.output_path if args.out is None else args.out
     emit(results, fmt, path)
     if not args.quiet:
         suffix = ".json" if fmt == "json" else "_{spectra,summary}.csv"
@@ -148,7 +125,7 @@ def _cmd_spp(args: argparse.Namespace) -> int:
         rows.append((f / 1e9, sol.wavenumber.real, sol.wavenumber.imag,
                      sol.confinement_ratio, sol.spp_wavelength * 1e6,
                      sol.propagation_length * 1e6))
-    _emit(columns, rows, args.format, args.out)
+    write_table(columns, rows, args.format, args.out)
     return 0
 
 
@@ -169,8 +146,8 @@ def _cmd_fdtd_check(args: argparse.Namespace) -> int:
                  float(f) / 1e9, r.real, r.imag, t.real, t.imag, float(a))
                 for f, r, t, a in zip(result.frequencies, result.reflection,
                                       result.transmission, result.absorption)]
-        _emit(columns, rows, args.format or "csv", args.out)
-    print(f"max_abs_error = {err:.9g}")
+        write_table(columns, rows, args.format or "csv", args.out)
+    write_table(["max_abs_error"], [(err,)], None, None, record=True)
     if err >= FDTD_ERROR_THRESHOLD:
         print(f"error exceeds the {FDTD_ERROR_THRESHOLD} accuracy threshold",
               file=sys.stderr)
@@ -188,12 +165,13 @@ def _cmd_resize(args: argparse.Namespace) -> int:
     metal = design_patch(f0, substrate)
     resized = patch_for_target(f0, substrate, sheet)
     f_check = graphene_resonance(resized, ConductorSpec.graphene(sheet))
-    _emit(("W_um", "L_metal_um", "L_resized_um", "area_reduction_pct",
-           "f_res_GHz", "note"),
-          [(resized.width * 1e6, metal.length * 1e6, resized.length * 1e6,
-            100 * (1 - resized.length / metal.length), f_check / 1e9,
-            RESIZE_NOTE)],
-          args.format, args.out, record=True)
+    write_table(("W_um", "L_metal_um", "L_resized_um", "area_reduction_pct",
+                 "f_res_GHz", "note"),
+                [(resized.width * 1e6, metal.length * 1e6,
+                  resized.length * 1e6,
+                  100 * (1 - resized.length / metal.length), f_check / 1e9,
+                  RESIZE_NOTE)],
+                args.format, args.out, record=True)
     return 0
 
 

@@ -11,16 +11,16 @@ files. Numbers are written with 9 significant digits, which round-trips
 a double for golden-file comparison without noise-level churn. CSV output
 is a pair of files (spectra and summary); JSON mirrors the same fields in
 one document. Metal cells have no Fermi level or relaxation time: empty
-fields in CSV, null in JSON. The CLI writes its tables with the same
-format_table and json_records; emit writes the spectra, the bulk of a
-sweep's output, with one %-template per cell that gives the same bytes.
+fields in CSV, null in JSON. The CLI writes its records and tables with
+write_table, through the same formatters; emit writes the spectra, the
+bulk of a sweep's output, one %-template per cell, in the same bytes.
 Its "%.9g" conversion is also the exact JSON text of a value rounded to 9
 digits when 1e-3 <= |v| < 1e8 and v is not within 1e-8 |v| of a whole
 number (no exponent, the same shortest digits, and a "." that cannot round
 away), so a column where every value passes is formatted straight from the
 floats, in C; any other column goes through per-value texts, and the
 frequency column, shared by every cell, is formatted once per grid.
-Every file is written whole or not at all (write_atomic).
+Outputs, the csv pair as one, are written whole or not at all (write_atomic).
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ import functools
 import itertools
 import json
 import os
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -97,25 +98,12 @@ def fmt9(value) -> str:
     return f"{value:.9g}" if isinstance(value, float) else str(value)
 
 
-def round9(value):
-    """Floats rounded to 9 significant digits; other values unchanged."""
-    if isinstance(value, float):
-        return float(fmt9(value))
-    return value
-
-
 def format_table(columns: Sequence[str], rows: Iterable[Sequence],
                  sep: str = ",") -> str:
     """A header line plus one line per row, cells joined by sep."""
     lines = [sep.join(columns)]
     lines.extend(sep.join(map(fmt9, row)) for row in rows)
     return "\n".join(lines) + "\n"
-
-
-def json_records(columns: Sequence[str],
-                 rows: Iterable[Sequence]) -> list[dict]:
-    """Rows as JSON-ready objects keyed by column, floats rounded by round9."""
-    return [{k: round9(v) for k, v in zip(columns, row)} for row in rows]
 
 
 def summary_row(variant: str, fermi_ev: float | None, tau_ps: float | None,
@@ -126,34 +114,60 @@ def summary_row(variant: str, fermi_ev: float | None, tau_ps: float | None,
             report.efficiency, report.directivity_dbi, report.gain_dbi)
 
 
-def write_atomic(path: str, chunks: Iterable[str]) -> None:
-    """Write the concatenated chunks to path, or leave path as it was.
+def write_atomic(files: list[tuple[str, Iterable[str]]]) -> None:
+    """Write each (path, chunks) pair's chunks to its path: all or none.
 
-    The text goes to a temporary file beside path, which replaces path
-    only once it is complete; on any error the temporary file is removed.
-    A path naming no file, or a directory, fails; missing parents are made.
+    Every path is checked first: one naming no file, or a directory, fails.
+    Missing parents are made. Each text goes to a temporary file beside its
+    path; the temporary files replace their paths only once all of them are
+    complete, and on any error they are removed.
     """
-    head, name = os.path.split(path)
-    if not name or os.path.isdir(path):
-        raise ValidationError(f"output path {path!r} does not name a file")
-    if head:
-        os.makedirs(head, exist_ok=True)
-    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
-    fh = open(tmp, "w", newline="\n")
+    for path, _ in files:
+        if not os.path.basename(path) or os.path.isdir(path):
+            raise ValidationError(f"output path {path!r} does not name a file")
+    tmps: list[str] = []
     try:
-        with fh:
-            for chunk in chunks:
-                fh.write(chunk)
-        os.replace(tmp, path)
+        for path, chunks in files:
+            head, name = os.path.split(path)
+            if head:
+                os.makedirs(head, exist_ok=True)
+            tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+            with open(tmp, "w", newline="\n") as fh:
+                tmps.append(tmp)
+                fh.writelines(chunks)
+        for tmp, (path, _) in zip(tmps, files):
+            os.replace(tmp, path)
     except BaseException:
-        os.remove(tmp)
+        for tmp in filter(os.path.exists, tmps):
+            os.remove(tmp)
         raise
+
+
+def write_table(columns: Sequence[str], rows: list[Sequence], fmt: str | None,
+                path: str | None, record: bool = False) -> None:
+    """Rows as a tab-separated table, CSV or JSON, to path or stdout.
+
+    A record is a single row; as plain text it reads `key = value` per
+    line, and as JSON it is one object rather than a list.
+    """
+    if fmt == "json":
+        objects = [_json_object(columns, map(_json9, row),
+                                "" if record else "  ") for row in rows]
+        body = (objects[0] if record else "".join(_json_list(objects))) + "\n"
+    elif fmt is None and record:
+        body = "".join(f"{k} = {fmt9(v)}\n" for k, v in zip(columns, rows[0]))
+    else:
+        body = format_table(columns, rows, "," if fmt == "csv" else "\t")
+    if path is None:
+        sys.stdout.write(body)
+    else:
+        write_atomic([(path, [body])])
 
 
 # Spectra rows are written a cell at a time: the cell's identifying fields
 # are formatted once into a %-template that takes the four numeric columns.
-# "%.9g" is fmt9 of a float. It is also the JSON text of the round9-rounded
-# value, repr(round9(v)), whenever 1e-3 <= |v| < 1e8 and v is further than
+# "%.9g" is fmt9 of a float. It is also _json9's text of it, the repr of
+# float(fmt9(v)), whenever 1e-3 <= |v| < 1e8 and v is further than
 # 1e-8 |v| from a whole number: %g writes no exponent in that range, a
 # decimal of 9 significant digits survives the trip through a double so
 # repr gives back the same digits, and the rounding (at most 0.5e-8 |v|)
@@ -191,15 +205,17 @@ def _csv_spectra(cell: SweepCellResult) -> str:
 
 
 def _json9(value) -> str:
-    """One output cell as JSON text, floats rounded by round9."""
-    return json.dumps(round9(value))
+    """One output cell as JSON text, floats rounded to 9 digits by fmt9."""
+    return json.dumps(float(fmt9(value)) if isinstance(value, float)
+                      else value)
 
 
-def _json_object(columns: Sequence[str], texts: Iterable[str]) -> str:
-    """An object as json.dump(indent=2) lays out a row of a top-level list."""
-    fields = ",\n".join(f"      {json.dumps(k)}: {v}"
+def _json_object(columns: Sequence[str], texts: Iterable[str],
+                 indent: str) -> str:
+    """An object as json.dumps lays it out at indent, two spaces a level."""
+    fields = ",\n".join(f"{indent}  {json.dumps(k)}: {v}"
                         for k, v in zip(columns, texts))
-    return f"    {{\n{fields}\n    }}"
+    return f"{indent}{{\n{fields}\n{indent}}}"
 
 
 def _json_spectra(cell: SweepCellResult) -> str:
@@ -216,18 +232,19 @@ def _json_spectra(cell: SweepCellResult) -> str:
         columns.append(column if exact else
                        [repr(float("%.9g" % v)) for v in column])
         conversions.append("%.9g" if exact else "%s")
-    template = _json_object(SPECTRA_HEADER.split(","), key + conversions)
+    template = _json_object(SPECTRA_HEADER.split(","), key + conversions,
+                            "    ")
     return ",\n".join(map(template.__mod__, zip(*columns)))
 
 
-def _json_list(key: str, objects: Iterable[str]) -> Iterator[str]:
-    """A top-level list member as json.dump(indent=2) lays it out."""
-    yield f"  {json.dumps(key)}: ["
+def _json_list(objects: Iterable[str], indent: str = "") -> Iterator[str]:
+    """Object texts as a list, as json.dumps lays it out at indent."""
+    yield "["
     sep = "\n"
     for text in objects:
         yield sep + text
         sep = ",\n"
-    yield "]" if sep == "\n" else "\n  ]"
+    yield "]" if sep == "\n" else f"\n{indent}]"
 
 
 def emit(results: list[SweepCellResult], output_format: str,
@@ -236,25 +253,27 @@ def emit(results: list[SweepCellResult], output_format: str,
 
     csv: {path}_spectra.csv and {path}_summary.csv.
     json: {path}.json with "spectra" and "summary" arrays.
-    Each file is written whole or not at all (see write_atomic).
+    The files are written whole or not at all (see write_atomic).
     """
     if output_format not in ("csv", "json"):
         raise ValidationError("output_format must be csv or json")
+    if not os.path.basename(path):
+        raise ValidationError(f"output path {path!r} does not name a file")
 
     solved = [cell for cell in results if cell.report is not None]
     summary = [summary_row(c.variant, c.fermi_ev, c.tau_ps, c.report)
                for c in solved]
     if output_format == "csv":
-        write_atomic(f"{path}_spectra.csv",
-                     itertools.chain([SPECTRA_HEADER + "\n"],
-                                     map(_csv_spectra, solved)))
-        write_atomic(f"{path}_summary.csv",
-                     [format_table(SUMMARY_HEADER.split(","), summary)])
+        write_atomic([
+            (f"{path}_spectra.csv", itertools.chain(
+                [SPECTRA_HEADER + "\n"], map(_csv_spectra, solved))),
+            (f"{path}_summary.csv",
+             [format_table(SUMMARY_HEADER.split(","), summary)])])
     else:
         columns = SUMMARY_HEADER.split(",")
-        write_atomic(f"{path}.json", itertools.chain(
-            ["{\n"], _json_list("spectra", map(_json_spectra, solved)),
-            [",\n"], _json_list("summary", (
-                _json_object(columns, map(_json9, row))
-                for row in summary)),
-            ["\n}\n"]))
+        write_atomic([(f"{path}.json", itertools.chain(
+            ['{\n  "spectra": '], _json_list(map(_json_spectra, solved), "  "),
+            [',\n  "summary": '], _json_list((
+                _json_object(columns, map(_json9, row), "    ")
+                for row in summary), "  "),
+            ["\n}\n"]))])

@@ -1,5 +1,7 @@
 """Sweep orchestration, serialization schemas, and the command line."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -16,9 +18,17 @@ from thzpatch import (SPECTRA_HEADER, SUMMARY_HEADER, NoBoundModeError,
                       emit, evaluate, mutual_conductance_ratio, parse_config,
                       run_sweep, sweep)
 from thzpatch.errors import MAX_POINTS
-from thzpatch.sweep import fmt9, format_table, json_records, summary_row
+from thzpatch.sweep import fmt9, format_table, summary_row, write_table
 
 ROOT = Path(__file__).parent.parent
+
+
+def json_records(columns, rows):
+    """Rows as objects keyed by column, floats rounded to 9 digits: the
+    reference that the JSON writers are held to, through json.dumps."""
+    return [{k: float(fmt9(v)) if isinstance(v, float) else v
+             for k, v in zip(columns, row)} for row in rows]
+
 
 SMALL_CONFIG = """\
 [substrate]
@@ -234,6 +244,53 @@ def test_spectra_formatters_match_on_mixed_columns(columns):
     # One value that breaks the "%.9g" rule anywhere in a column must send
     # the whole column through the exact per-value texts.
     _assert_spectra_formatters_match(columns)
+
+
+def _written(columns, rows, fmt, record=False):
+    """What write_table prints for these rows."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        write_table(columns, rows, fmt, None, record)
+    return out.getvalue()
+
+
+CELLS = st.one_of(st.floats(), st.none(), st.text())
+
+
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.lists(st.text(min_size=1), min_size=n, max_size=n, unique=True),
+    st.lists(st.lists(CELLS, min_size=n, max_size=n), max_size=4))))
+@example((["a"], []))
+@example((["f", "s", "none"], [[float("nan"), "x", None],
+                               [float("-inf"), "", 1.0000000004999]]))
+def test_write_table_matches_json_dumps_and_format_table(table):
+    # Floats, inf and nan included, are rounded to 9 digits by fmt9.
+    columns, rows = table
+    assert _written(columns, rows, "json") == \
+        json.dumps(json_records(columns, rows), indent=2) + "\n"
+    assert _written(columns, rows, "csv") == format_table(columns, rows)
+    assert _written(columns, rows, None) == \
+        format_table(columns, rows, "\t")
+    for row in rows[:1]:
+        assert _written(columns, [row], "json", record=True) == \
+            json.dumps(json_records(columns, [row])[0], indent=2) + "\n"
+        assert _written(columns, [row], None, record=True) == "".join(
+            f"{k} = {fmt9(v)}\n" for k, v in zip(columns, row))
+
+
+def test_write_atomic_writes_every_path_or_none(tmp_path):
+    # The second text fails after the first is complete: neither path is
+    # replaced, and no temporary file is left.
+    def failing():
+        yield "partial\n"
+        raise RuntimeError("chunk failed")
+
+    (tmp_path / "a.txt").write_text("earlier run\n")
+    with pytest.raises(RuntimeError):
+        sweep.write_atomic([(str(tmp_path / "a.txt"), ["new\n"]),
+                            (str(tmp_path / "b.txt"), failing())])
+    assert os.listdir(tmp_path) == ["a.txt"]
+    assert (tmp_path / "a.txt").read_text() == "earlier run\n"
 
 
 @pytest.mark.parametrize("fmt, formatter, target", [
@@ -760,6 +817,38 @@ def test_cli_out_that_names_no_file_is_a_usage_error(tmp_path, monkeypatch,
     assert os.listdir(tmp_path) == ["dir"]
     assert os.listdir(tmp_path / "dir") == ["keep.txt"]
     assert (tmp_path / "dir" / "keep.txt").read_text() == "kept"
+
+
+def test_cli_sweep_csv_pair_is_written_whole_or_not_at_all(tmp_path,
+                                                          monkeypatch, capsys):
+    # out_summary.csv is a directory: the sweep fails before out_spectra.csv
+    # is written, rather than leaving half of the pair.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sweep.cfg").write_text(SMALL_CONFIG)
+    (tmp_path / "out_summary.csv").mkdir()
+    assert cli_main(["sweep", "sweep.cfg", "--format", "csv", "--out", "out",
+                     "--quiet"]) == 1
+    assert capsys.readouterr().err == \
+        "error: output path 'out_summary.csv' does not name a file\n"
+    assert sorted(os.listdir(tmp_path)) == ["out_summary.csv", "sweep.cfg"]
+    assert os.listdir(tmp_path / "out_summary.csv") == []
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("out", ["", "dir/"], ids=["empty", "directory"])
+def test_cli_sweep_out_that_names_no_file_is_a_usage_error(
+        tmp_path, monkeypatch, capsys, out, fmt):
+    # An empty --out does not fall back to the config's path, and a base
+    # with an empty file name does not write "_spectra.csv" or ".json".
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "sweep.cfg").write_text(SMALL_CONFIG)
+    assert cli_main(["sweep", "sweep.cfg", "--format", fmt, "--out", out,
+                     "--quiet"]) == 1
+    assert capsys.readouterr().err == \
+        f"error: output path {out!r} does not name a file\n"
+    assert sorted(os.listdir(tmp_path)) == ["dir", "sweep.cfg"]
+    assert os.listdir(tmp_path / "dir") == []
 
 
 def test_cli_sweep_missing_file(tmp_path, capsys):
