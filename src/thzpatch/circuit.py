@@ -14,7 +14,10 @@ so Q_radiation = w C / (2 G1 (1 + g12)) with the cavity capacitance
 C = eps0 eps_eff L W / (2 h). Both g12 integrals use a fixed 64-point
 Gauss-Legendre rule in theta, and J0 a 32-point midpoint rule on its
 periodic integral; they agree with adaptive quadrature to about 1e-14
-relative up to 5x the design frequency.
+relative up to 5x the design frequency. The rules are checked only inside
+a box, k0 W / 2 <= 20 and k0 (L + 2 dL) <= 30, and outside it
+mutual_conductance_ratio raises ValidationError; a designed patch at or
+below its metal resonance has k0 W / 2 < pi / 2 and k0 (L + 2 dL) < pi.
 
 The conductor (ConductorSpec) and the resonance it gives the patch
 (graphene_resonance) come from patch and are bound here too.
@@ -22,7 +25,10 @@ The conductor (ConductorSpec) and the resonance it gives the patch
 The feed is a fixed ideal transformer chosen once per geometry so that the
 metal variant is matched to the 50 ohm reference at its resonance; graphene
 variants then show up as mismatch, with shallower dips for lossier sheets.
-S11 floors at -120 dB to keep logs finite at a perfect match.
+S11 floors at -120 dB to keep logs finite at a perfect match. Each variant's
+RLC equivalent is solved once (_resonator keeps the last few): a sweep cell
+asks for its variant's twice and for the feed's once, and the feed, the
+same in every cell of a geometry, is solved once per geometry.
 """
 
 from __future__ import annotations
@@ -47,6 +53,12 @@ _x, _w = np.polynomial.legendre.leggauss(THETA_NODES)
 _THETA, _THETA_WEIGHT = (_x + 1) * (math.pi / 2), _w * (math.pi / 2)
 _COS_THETA, _SIN_THETA = np.cos(_THETA), np.sin(_THETA)
 _SIN_BESSEL = np.sin(math.pi * (np.arange(BESSEL_NODES) + 0.5) / BESSEL_NODES)
+
+# The g12 box: against mpmath, the fixed rules are off by 2.8e-14 at the
+# corner (20, 30) and by 2.2e-2 at (33.5, 57.9); beyond it they can return
+# a finite, wrong g12 (-0.079 against -0.023) and say nothing.
+MAX_HALF_WIDTH_PHASE = 20.0  # k0 W / 2
+MAX_SEPARATION_PHASE = 30.0  # k0 (L + 2 dL)
 
 REFERENCE_IMPEDANCE = 50.0  # ohm
 S11_FLOOR_DB = -120.0
@@ -124,6 +136,11 @@ def mutual_conductance_ratio(geometry: PatchGeometry,
     k0 = 2 * math.pi * frequency / CODATA2018.light_speed
     k0w_half = k0 * geometry.width / 2
     sep = geometry.length + 2 * geometry.fringing_extension
+    if k0w_half > MAX_HALF_WIDTH_PHASE or k0 * sep > MAX_SEPARATION_PHASE:
+        raise ValidationError(
+            f"needs k0 W/2 <= {MAX_HALF_WIDTH_PHASE:g} and k0 (L + 2 dL) <= "
+            f"{MAX_SEPARATION_PHASE:g}, not {k0w_half:g} and {k0 * sep:g}",
+            field="g12")
     # sin(a cos t) / cos t = a sinc(a cos t / pi), exact at cos t = 0.
     with np.errstate(invalid="ignore"):
         amp = k0w_half * np.sinc(k0w_half * _COS_THETA / math.pi)
@@ -176,6 +193,10 @@ def q_factors(geometry: PatchGeometry, conductor: ConductorSpec,
                     q_dielectric=q_diel, q_total=q_total)
 
 
+# s11_spectrum asks for the variant's triple and the feed's, and evaluate
+# for the variant's again; evaluate must call the public s11_spectrum, which
+# the benchmark's traced run times, so the triple is shared by this memo.
+@functools.lru_cache(maxsize=4)
 def _resonator(geometry: PatchGeometry, conductor: ConductorSpec
                ) -> tuple[float, QFactors, float]:
     """(f_res, Q factors, R_peak) of the variant's parallel RLC equivalent."""
@@ -233,8 +254,7 @@ def bandwidth_minus10db(spectrum: Spectrum) -> float:
     lo = int(above[above < i_min].max(initial=-1)) + 1
     hi = int(above[above > i_min].min(initial=len(spectrum))) - 1
 
-    freqs = spectrum.frequency.tolist()
-    s11 = spectrum.s11_db.tolist()
+    freqs, s11 = spectrum.frequency, spectrum.s11_db
 
     def crossing(i: int) -> float:
         """Where the line from sample i to sample i + 1 meets the threshold."""
@@ -243,7 +263,7 @@ def bandwidth_minus10db(spectrum: Spectrum) -> float:
 
     f_left = freqs[0] if lo == 0 else crossing(lo - 1)
     f_right = freqs[-1] if hi == len(s11) - 1 else crossing(hi)
-    return f_right - f_left
+    return float(f_right - f_left)
 
 
 def directivity_dbi(geometry: PatchGeometry, frequency: float) -> float:

@@ -94,10 +94,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                   f"failed: {cell.error}", file=sys.stderr)
     fmt = args.format or config.output_format
     path = config.output_path if args.out is None else args.out
-    emit(results, fmt, path)
+    written = emit(results, fmt, path)
     if not args.quiet:
-        suffix = ".json" if fmt == "json" else "_{spectra,summary}.csv"
-        print(f"wrote {path}{suffix}", file=sys.stderr)
+        print(f"wrote {', '.join(written)}", file=sys.stderr)
     return 0
 
 

@@ -120,12 +120,16 @@ def write_atomic(files: list[tuple[str, Iterable[str]]]) -> None:
     Every path is checked first: one naming no file, or a directory, fails.
     Missing parents are made. Each text goes to a temporary file beside its
     path; the temporary files replace their paths only once all of them are
-    complete, and on any error they are removed.
+    complete. Each path but the last, which no later rename can undo, has
+    its earlier file kept aside until every path is replaced. On any error
+    the kept files are put back, the paths that had none are removed, and
+    so are the temporary files.
     """
     for path, _ in files:
         if not os.path.basename(path) or os.path.isdir(path):
             raise ValidationError(f"output path {path!r} does not name a file")
     tmps: list[str] = []
+    replaced: list[tuple[str, str | None]] = []   # (path, its kept file)
     try:
         for path, chunks in files:
             head, name = os.path.split(path)
@@ -135,12 +139,25 @@ def write_atomic(files: list[tuple[str, Iterable[str]]]) -> None:
             with open(tmp, "w", newline="\n") as fh:
                 tmps.append(tmp)
                 fh.writelines(chunks)
-        for tmp, (path, _) in zip(tmps, files):
+        for i, (tmp, (path, _)) in enumerate(zip(tmps, files)):
+            if i < len(files) - 1:
+                kept = f"{tmp}.old" if os.path.exists(path) else None
+                if kept is not None:
+                    os.replace(path, kept)
+                replaced.append((path, kept))
             os.replace(tmp, path)
     except BaseException:
+        for path, kept in reversed(replaced):
+            if kept is not None:
+                os.replace(kept, path)
+            elif os.path.exists(path):
+                os.remove(path)
         for tmp in filter(os.path.exists, tmps):
             os.remove(tmp)
         raise
+    for _, kept in replaced:
+        if kept is not None:
+            os.remove(kept)
 
 
 def write_table(columns: Sequence[str], rows: list[Sequence], fmt: str | None,
@@ -248,8 +265,9 @@ def _json_list(objects: Iterable[str], indent: str = "") -> Iterator[str]:
 
 
 def emit(results: list[SweepCellResult], output_format: str,
-         path: str) -> None:
-    """Write results to `path`-derived files in the requested format.
+         path: str) -> list[str]:
+    """Write results to `path`-derived files in the requested format, and
+    return the paths written.
 
     csv: {path}_spectra.csv and {path}_summary.csv.
     json: {path}.json with "spectra" and "summary" arrays.
@@ -264,16 +282,18 @@ def emit(results: list[SweepCellResult], output_format: str,
     summary = [summary_row(c.variant, c.fermi_ev, c.tau_ps, c.report)
                for c in solved]
     if output_format == "csv":
-        write_atomic([
+        files = [
             (f"{path}_spectra.csv", itertools.chain(
                 [SPECTRA_HEADER + "\n"], map(_csv_spectra, solved))),
             (f"{path}_summary.csv",
-             [format_table(SUMMARY_HEADER.split(","), summary)])])
+             [format_table(SUMMARY_HEADER.split(","), summary)])]
     else:
         columns = SUMMARY_HEADER.split(",")
-        write_atomic([(f"{path}.json", itertools.chain(
+        files = [(f"{path}.json", itertools.chain(
             ['{\n  "spectra": '], _json_list(map(_json_spectra, solved), "  "),
             [',\n  "summary": '], _json_list((
                 _json_object(columns, map(_json9, row), "    ")
                 for row in summary), "  "),
-            ["\n}\n"]))])
+            ["\n}\n"]))]
+    write_atomic(files)
+    return [file for file, _ in files]

@@ -225,8 +225,10 @@ def test_fringing_extension_survives_an_overflowing_width_ratio():
      "give a relaxation time in double range, not nan s$"),
     (mutual_conductance_ratio, (PATCH, math.nan), ValidationError,
      "^frequency must be finite and > 0$"),
+    # k0 overflows: the input leaves g12's checked box before any sum.
     (mutual_conductance_ratio, (PATCH, MAX_DOUBLE), ValidationError,
-     "^g12 is nan, out of double range$"),
+     r"^g12 needs k0 W/2 <= 20 and k0 \(L \+ 2 dL\) <= 30, not inf and "
+     r"inf$"),
     (directivity_dbi, (PATCH, -1.0), ValidationError,
      "^frequency must be finite and > 0$"),
     (directivity_dbi, (PatchGeometry(*WIDE), 1e150), ValidationError,

@@ -11,10 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from thzpatch import (ConductorSpec, GrapheneSheet, PatchGeometry, Spectrum,
-                      SpectrumResult, SubstrateSpec, ValidationError,
-                      bandwidth_minus10db, design_patch, directivity_dbi,
-                      evaluate, f_res_metal, gain_report, graphene_resonance,
+from thzpatch import (CODATA2018, ConductorSpec, GrapheneSheet,
+                      PatchGeometry, Spectrum, SpectrumResult, SubstrateSpec,
+                      ValidationError, bandwidth_minus10db, circuit,
+                      design_patch, directivity_dbi, evaluate, f_res_metal,
+                      gain_report, graphene_resonance,
                       mutual_conductance_ratio, q_factors, s11_spectrum)
 from thzpatch.errors import MAX_POINTS, require_grid
 
@@ -124,6 +125,73 @@ def test_mutual_conductance_ratio_matches_oracle(eps_r, thickness, detune):
                                  geometry.fringing_extension, f)
     assert mutual_conductance_ratio(geometry, f) == pytest.approx(
         float(exact), rel=1e-12)
+
+
+# g12's checked box: k0 W/2 <= 20 and k0 (L + 2 dL) <= 30.
+MAX_HALF_WIDTH_PHASE, MAX_SEPARATION_PHASE = 20.0, 30.0
+
+
+def _slot_geometry(half_width_phase, separation_phase):
+    """A patch whose k0 W/2 and k0 (L + 2 dL) at 280 GHz are the phases."""
+    k0 = 2 * math.pi * 280e9 / CODATA2018.light_speed
+    substrate = SubstrateSpec(3.5, 0.0027, 1e-6)
+    width = 2 * half_width_phase / k0
+    d_l = PatchGeometry(width, width / 2, substrate).fringing_extension
+    return PatchGeometry(width, separation_phase / k0 - 2 * d_l, substrate)
+
+
+# W > L keeps k0 (L + 2 dL) below about 2 k0 W / 2, so the box's corner at
+# small k0 W/2 and the largest separation is not a patch; (15.5, 30) stands
+# in for it. At each point the oracle's 3-point split agrees with a
+# 97-point one to 30 digits.
+@pytest.mark.parametrize("half_width_phase, separation_phase", [
+    (MAX_HALF_WIDTH_PHASE, MAX_SEPARATION_PHASE),
+    (MAX_HALF_WIDTH_PHASE, 1.0),
+    (15.5, MAX_SEPARATION_PHASE),
+])
+def test_mutual_conductance_ratio_matches_oracle_at_the_box_corners(
+        half_width_phase, separation_phase):
+    inside = 1 - 1e-9
+    geometry = _slot_geometry(half_width_phase * inside,
+                              separation_phase * inside)
+    exact = oracles.mutual_ratio(geometry.width, geometry.length,
+                                 geometry.fringing_extension, 280e9)
+    assert mutual_conductance_ratio(geometry, 280e9) == pytest.approx(
+        float(exact), rel=1e-12)
+
+
+@pytest.mark.parametrize("half_width_phase, separation_phase", [
+    (MAX_HALF_WIDTH_PHASE * (1 + 1e-9), MAX_SEPARATION_PHASE * (1 - 1e-9)),
+    (MAX_HALF_WIDTH_PHASE * (1 - 1e-9), MAX_SEPARATION_PHASE * (1 + 1e-9)),
+])
+def test_mutual_conductance_ratio_rejects_a_patch_outside_the_box(
+        half_width_phase, separation_phase):
+    geometry = _slot_geometry(half_width_phase, separation_phase)
+    misses = mutual_conductance_ratio.cache_info().misses
+    for _ in range(2):   # a raising call is not cached
+        with pytest.raises(ValidationError,
+                           match=r"^g12 needs k0 W/2 <= 20 and k0 \(L \+ 2 "
+                                 r"dL\) <= 30, not 20 and 30$"):
+            mutual_conductance_ratio(geometry, 280e9)
+    assert mutual_conductance_ratio.cache_info().misses == misses + 2
+
+
+def test_evaluate_rejects_a_patch_wider_than_the_box():
+    # Far wider than long: at its own resonance k0 W/2 is about 25.
+    geometry = PatchGeometry(3e-3, 100e-6, SubstrateSpec(3.5, 0.0027, 1e-6))
+    misses = circuit._resonator.cache_info().misses
+    for _ in range(2):   # a raising call is not cached
+        with pytest.raises(ValidationError,
+                           match=r"^g12 needs .*, not 2\d\.\d+ and "):
+            evaluate(geometry, ConductorSpec.metal(), BAND, POINTS)
+    assert circuit._resonator.cache_info().misses == misses + 2
+
+
+def test_mutual_conductance_ratio_rejects_underflowing_integrals(designed):
+    # Both g12 integrals underflow to 0, and 0 / 0 is nan.
+    with pytest.raises(ValidationError,
+                       match="^g12 is nan, out of double range$"):
+        mutual_conductance_ratio(designed, 1e-200)
 
 
 def test_metal_q_chain(designed):

@@ -14,9 +14,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from thzpatch import (SPECTRA_HEADER, SUMMARY_HEADER, NoBoundModeError,
-                      Spectrum, SweepCellResult, ValidationError, cli, cli_main,
-                      emit, evaluate, mutual_conductance_ratio, parse_config,
-                      run_sweep, sweep)
+                      Spectrum, SweepCellResult, ValidationError, circuit, cli,
+                      cli_main, emit, evaluate, mutual_conductance_ratio,
+                      parse_config, run_sweep, sweep)
 from thzpatch.errors import MAX_POINTS
 from thzpatch.sweep import fmt9, format_table, summary_row, write_table
 
@@ -293,6 +293,35 @@ def test_write_atomic_writes_every_path_or_none(tmp_path):
     assert (tmp_path / "a.txt").read_text() == "earlier run\n"
 
 
+@pytest.mark.parametrize("earlier", [False, True])
+def test_write_atomic_undoes_the_first_rename_when_the_second_fails(
+        tmp_path, monkeypatch, earlier):
+    first, second = str(tmp_path / "a.txt"), str(tmp_path / "b.txt")
+    if earlier:
+        for path in (first, second):
+            Path(path).write_text("earlier run\n")
+    real = os.replace
+
+    def failing_second(src, dst):
+        if dst == second:
+            raise OSError("rename failed")
+        real(src, dst)
+
+    monkeypatch.setattr(os, "replace", failing_second)
+    with pytest.raises(OSError, match="rename failed"):
+        sweep.write_atomic([(first, ["new\n"]), (second, ["new\n"])])
+    assert sorted(os.listdir(tmp_path)) == (["a.txt", "b.txt"] if earlier
+                                            else [])
+    for path in os.listdir(tmp_path):
+        assert (tmp_path / path).read_text() == "earlier run\n"
+
+    # Without the failure, both are replaced and nothing is left beside them.
+    monkeypatch.setattr(os, "replace", real)
+    sweep.write_atomic([(first, ["new\n"]), (second, ["new\n"])])
+    assert sorted(os.listdir(tmp_path)) == ["a.txt", "b.txt"]
+    assert Path(first).read_text() == Path(second).read_text() == "new\n"
+
+
 @pytest.mark.parametrize("fmt, formatter, target", [
     ("csv", "_csv_spectra", "out_spectra.csv"),
     ("json", "_json_spectra", "out.json"),
@@ -326,9 +355,30 @@ def test_a_failed_emit_leaves_no_partial_file(tmp_path, monkeypatch,
 def test_sweep_computes_one_radiation_integral_per_resonance():
     config = parse_config((ROOT / "paper.cfg").read_text())
     mutual_conductance_ratio.cache_clear()
+    circuit._resonator.cache_clear()
     run_sweep(config)
     # 4 Fermi levels give 4 graphene resonances; metal adds one.
     assert mutual_conductance_ratio.cache_info().misses == 5
+
+
+def test_sweep_solves_each_variant_once_and_the_feed_once(monkeypatch):
+    config = parse_config((ROOT / "paper.cfg").read_text())
+    solved = []
+
+    def counting(*args):
+        solved.append(args)
+        return real(*args)
+
+    real = circuit.q_factors
+    monkeypatch.setattr(circuit, "q_factors", counting)
+    circuit._resonator.cache_clear()
+    run_sweep(config)
+    # 16 graphene cells and the metal cell, which is also the feed.
+    assert len(solved) == 17
+    solved.clear()
+    # Only the feed is kept from one sweep to the next.
+    run_sweep(config)
+    assert len(solved) == 16
 
 
 def test_metal_summary_golden_row(tmp_path, paper_results):
@@ -780,7 +830,8 @@ def test_cli_sweep_runs_config(tmp_path, capsys):
     cfg_path.write_text(cfg)
     assert cli_main(["sweep", str(cfg_path)]) == 0
     captured = capsys.readouterr()
-    assert "wrote" in captured.err
+    assert captured.err == (f"wrote {out_base}_spectra.csv, "
+                            f"{out_base}_summary.csv\n")
     assert (tmp_path / "run_summary.csv").exists()
     assert (tmp_path / "run_spectra.csv").exists()
 
