@@ -28,7 +28,9 @@ variants then show up as mismatch, with shallower dips for lossier sheets.
 S11 floors at -120 dB to keep logs finite at a perfect match. Each variant's
 RLC equivalent is solved once (_resonator keeps the last few): a sweep cell
 asks for its variant's twice and for the feed's once, and the feed, the
-same in every cell of a geometry, is solved once per geometry.
+same in every cell of a geometry, is solved once per geometry. The -10 dB
+bandwidth is interpolated from the samples: it is within two sample steps
+of the continuous RLC band when both band edges lie inside the spectrum.
 """
 
 from __future__ import annotations

@@ -21,16 +21,14 @@ import argparse
 import math
 import sys
 
-from .circuit import gain_report
+# circuit, fdtd, spp and sweep are imported by the commands that use them,
+# so a cold design or resize loads none of them, nor numpy.
 from .config import parse_config, parse_quantity, parse_quantity_list
 from .errors import NumericalError, ValidationError
-from .fdtd import Grid1D, max_abs_error, run_sheet_scattering
 from .materials import GrapheneSheet, kubo_sigma
 from .patch import (ConductorSpec, SubstrateSpec, design_patch, f_res_metal,
                     graphene_resonance, patch_for_target)
-from .spp import (DielectricHalfspaces, spp_wavenumber_asymmetric,
-                  spp_wavenumber_symmetric)
-from .sweep import SUMMARY_HEADER, emit, run_sweep, summary_row, write_table
+from .tables import SUMMARY_HEADER, summary_row, write_table
 
 FDTD_ERROR_THRESHOLD = 0.01
 
@@ -69,6 +67,7 @@ def _cmd_design(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    from .circuit import gain_report
     substrate = _substrate_from_args(args)
     sheet = _sheet_from_args(args)
     f0 = parse_quantity(args.f0, "frequency", "--f0")
@@ -85,6 +84,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from .sweep import emit, run_sweep
     with open(args.config, encoding="utf-8") as fh:
         config = parse_config(fh.read())
     results = run_sweep(config)
@@ -101,6 +101,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_spp(args: argparse.Namespace) -> int:
+    from .spp import (DielectricHalfspaces, spp_wavenumber_asymmetric,
+                      spp_wavenumber_symmetric)
     sheet = _sheet_from_args(args)
     freqs = parse_quantity_list(args.f, "frequency", "--f")
     asymmetric = (args.eps_above is not None) or (args.eps_below is not None)
@@ -132,6 +134,7 @@ def _cmd_fdtd_check(args: argparse.Namespace) -> int:
     if args.format is not None and args.out is None:
         raise ValidationError("fdtd-check prints only max_abs_error; "
                               "--format needs --out")
+    from .fdtd import Grid1D, max_abs_error, run_sheet_scattering
     sheet = _sheet_from_args(args)
     grid = Grid1D.for_resolution(args.resolution)
     band = (parse_quantity(args.band_lo, "frequency", "--band-lo"),

@@ -22,6 +22,8 @@ line of the denser half-space, where u = 0; below it the wave leaks into
 that half-space (Hanson, J. Appl. Phys. 103, 064302, 2008). A sheet with
 gain (Re sigma < 0), or one too conductive or too lossy to bind a mode,
 raises NoBoundModeError; sweeps record that per cell instead of aborting.
+The asymmetric root gets two Newton steps, and a relative residual left at
+NEWTON_REL_RESIDUAL or above raises ConvergenceError.
 """
 
 from __future__ import annotations

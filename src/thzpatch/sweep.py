@@ -7,31 +7,23 @@ error in one parameter combination is recorded in that cell and the rest
 of the sweep continues.
 
 Serialization is deterministic: identical inputs produce byte-identical
-files. Numbers are written with 9 significant digits, which round-trips
-a double for golden-file comparison without noise-level churn. CSV output
+files. The number format, the headers, the summary rows and the file
+writer live in tables (numpy-free, so the CLI can write without this
+module); sweep re-binds them and keeps only what needs numpy. CSV output
 is a pair of files (spectra and summary); JSON mirrors the same fields in
 one document. Metal cells have no Fermi level or relaxation time: empty
-fields in CSV, null in JSON. The CLI writes its records and tables with
-write_table, through the same formatters; emit writes the spectra, the
-bulk of a sweep's output, one %-template per cell, in the same bytes.
-Its "%.9g" conversion is also the exact JSON text of a value rounded to 9
-digits when 1e-3 <= |v| < 1e8 and v is not within 1e-8 |v| of a whole
-number (no exponent, the same shortest digits, and a "." that cannot round
-away), so a column where every value passes is formatted straight from the
-floats, in C; any other column goes through per-value texts, and the
-frequency column, shared by every cell, is formatted once per grid.
-Outputs, the csv pair as one, are written whole or not at all (write_atomic).
+fields in CSV, null in JSON. emit writes the spectra, the bulk of a
+sweep's output, one %-template per cell, in the bytes fmt9 and _json9 give
+(see the note above _ghz_texts). Outputs, the csv pair as one, are written
+whole or not at all (write_atomic).
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import json
 import os
-import sys
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -40,10 +32,10 @@ from .config import RunConfig
 from .errors import ThzPatchError, ValidationError
 from .materials import GrapheneSheet
 from .patch import ConductorSpec, design_patch
-
-SPECTRA_HEADER = "variant,fermi_eV,tau_ps,freq_GHz,s11_dB,Rin_ohm,Xin_ohm"
-SUMMARY_HEADER = ("variant,fermi_eV,tau_ps,f_res_GHz,min_s11_dB,bw_GHz,"
-                  "eff,D_dBi,G_dBi")
+# write_table stays bound here for callers that import it from sweep.
+from .tables import (SPECTRA_HEADER, SUMMARY_HEADER, _json9, _json_list,
+                     _json_object, fmt9, format_table, summary_row,
+                     write_atomic, write_table)
 
 
 @dataclass(frozen=True)
@@ -90,97 +82,6 @@ def run_sweep(config: RunConfig) -> list[SweepCellResult]:
     return cells
 
 
-def fmt9(value) -> str:
-    """One output cell as text: a float with 9 significant digits, None
-    as an empty field, anything else through str."""
-    if value is None:
-        return ""
-    return f"{value:.9g}" if isinstance(value, float) else str(value)
-
-
-def format_table(columns: Sequence[str], rows: Iterable[Sequence],
-                 sep: str = ",") -> str:
-    """A header line plus one line per row, cells joined by sep."""
-    lines = [sep.join(columns)]
-    lines.extend(sep.join(map(fmt9, row)) for row in rows)
-    return "\n".join(lines) + "\n"
-
-
-def summary_row(variant: str, fermi_ev: float | None, tau_ps: float | None,
-                report: AntennaReport) -> tuple:
-    """The SUMMARY_HEADER fields of one solved cell, in header order."""
-    return (variant, fermi_ev, tau_ps, report.resonant_frequency / 1e9,
-            report.min_s11_db, report.bandwidth_minus10db / 1e9,
-            report.efficiency, report.directivity_dbi, report.gain_dbi)
-
-
-def write_atomic(files: list[tuple[str, Iterable[str]]]) -> None:
-    """Write each (path, chunks) pair's chunks to its path: all or none.
-
-    Every path is checked first: one naming no file, or a directory, fails.
-    Missing parents are made. Each text goes to a temporary file beside its
-    path; the temporary files replace their paths only once all of them are
-    complete. Each path but the last, which no later rename can undo, has
-    its earlier file kept aside until every path is replaced. On any error
-    the kept files are put back, the paths that had none are removed, and
-    so are the temporary files.
-    """
-    for path, _ in files:
-        if not os.path.basename(path) or os.path.isdir(path):
-            raise ValidationError(f"output path {path!r} does not name a file")
-    tmps: list[str] = []
-    replaced: list[tuple[str, str | None]] = []   # (path, its kept file)
-    try:
-        for path, chunks in files:
-            head, name = os.path.split(path)
-            if head:
-                os.makedirs(head, exist_ok=True)
-            tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
-            with open(tmp, "w", newline="\n") as fh:
-                tmps.append(tmp)
-                fh.writelines(chunks)
-        for i, (tmp, (path, _)) in enumerate(zip(tmps, files)):
-            if i < len(files) - 1:
-                kept = f"{tmp}.old" if os.path.exists(path) else None
-                if kept is not None:
-                    os.replace(path, kept)
-                replaced.append((path, kept))
-            os.replace(tmp, path)
-    except BaseException:
-        for path, kept in reversed(replaced):
-            if kept is not None:
-                os.replace(kept, path)
-            elif os.path.exists(path):
-                os.remove(path)
-        for tmp in filter(os.path.exists, tmps):
-            os.remove(tmp)
-        raise
-    for _, kept in replaced:
-        if kept is not None:
-            os.remove(kept)
-
-
-def write_table(columns: Sequence[str], rows: list[Sequence], fmt: str | None,
-                path: str | None, record: bool = False) -> None:
-    """Rows as a tab-separated table, CSV or JSON, to path or stdout.
-
-    A record is a single row; as plain text it reads `key = value` per
-    line, and as JSON it is one object rather than a list.
-    """
-    if fmt == "json":
-        objects = [_json_object(columns, map(_json9, row),
-                                "" if record else "  ") for row in rows]
-        body = (objects[0] if record else "".join(_json_list(objects))) + "\n"
-    elif fmt is None and record:
-        body = "".join(f"{k} = {fmt9(v)}\n" for k, v in zip(columns, rows[0]))
-    else:
-        body = format_table(columns, rows, "," if fmt == "csv" else "\t")
-    if path is None:
-        sys.stdout.write(body)
-    else:
-        write_atomic([(path, [body])])
-
-
 # Spectra rows are written a cell at a time: the cell's identifying fields
 # are formatted once into a %-template that takes the four numeric columns.
 # "%.9g" is fmt9 of a float. It is also _json9's text of it, the repr of
@@ -221,20 +122,6 @@ def _csv_spectra(cell: SweepCellResult) -> str:
         *_value_columns(cell.spectrum).tolist())))
 
 
-def _json9(value) -> str:
-    """One output cell as JSON text, floats rounded to 9 digits by fmt9."""
-    return json.dumps(float(fmt9(value)) if isinstance(value, float)
-                      else value)
-
-
-def _json_object(columns: Sequence[str], texts: Iterable[str],
-                 indent: str) -> str:
-    """An object as json.dumps lays it out at indent, two spaces a level."""
-    fields = ",\n".join(f"{indent}  {json.dumps(k)}: {v}"
-                        for k, v in zip(columns, texts))
-    return f"{indent}{{\n{fields}\n{indent}}}"
-
-
 def _json_spectra(cell: SweepCellResult) -> str:
     """The cell's SPECTRA_HEADER rows as JSON objects joined by ",\\n"."""
     key = [_json9(v).replace("%", "%%")
@@ -252,16 +139,6 @@ def _json_spectra(cell: SweepCellResult) -> str:
     template = _json_object(SPECTRA_HEADER.split(","), key + conversions,
                             "    ")
     return ",\n".join(map(template.__mod__, zip(*columns)))
-
-
-def _json_list(objects: Iterable[str], indent: str = "") -> Iterator[str]:
-    """Object texts as a list, as json.dumps lays it out at indent."""
-    yield "["
-    sep = "\n"
-    for text in objects:
-        yield sep + text
-        sep = ",\n"
-    yield "]" if sep == "\n" else f"\n{indent}]"
 
 
 def emit(results: list[SweepCellResult], output_format: str,

@@ -19,14 +19,15 @@ at resolution 100 with <= 5 points.
 import cmath
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thzpatch import (ConductorSpec, DielectricHalfspaces, GrapheneSheet,
-                      Grid1D, NoBoundModeError, PatchGeometry,
+from thzpatch import (CODATA2018, ConductorSpec, DielectricHalfspaces,
+                      GrapheneSheet, Grid1D, NoBoundModeError, PatchGeometry,
                       SheetConductivity, SubstrateSpec, ThzPatchError,
                       ValidationError, analytic_sheet_coefficients,
                       confinement_sweep, design_patch, directivity_dbi,
@@ -36,6 +37,7 @@ from thzpatch import (ConductorSpec, DielectricHalfspaces, GrapheneSheet,
                       run_drude_scattering, run_sheet_scattering,
                       s11_spectrum, sheet_impedance, spp_wavenumber_asymmetric,
                       spp_wavenumber_symmetric)
+from thzpatch.circuit import MAX_HALF_WIDTH_PHASE, MAX_SEPARATION_PHASE
 from thzpatch.fdtd import MAX_DRUDE_WEIGHT
 
 NUMBERS = st.one_of(
@@ -134,6 +136,33 @@ def test_patch_and_circuit_survive_hostile_inputs(eps_r, tan_d, h, f0, width,
     call(directivity_dbi, geometry, f0)
     call(q_factors, geometry, conductor, f0, allowed=("q_dielectric",))
     call(evaluate, geometry, conductor, band, points)
+
+
+# g12's fixed quadrature rules are checked only inside a box of k0 W/2 and
+# k0 (L + 2 dL). The draws reach about twice past each edge.
+@settings(max_examples=300, deadline=None)
+@given(frequency=st.floats(1e9, 10e12),
+       half_width_phase=st.floats(1e-3, 2 * MAX_HALF_WIDTH_PHASE),
+       aspect=st.floats(0.01, 0.99), eps_r=st.floats(1.0001, 12.0),
+       h=st.floats(1e-7, 1e-4))
+def test_g12_is_finite_inside_its_box_and_rejected_past_it(
+        frequency, half_width_phase, aspect, eps_r, h):
+    k0 = 2 * math.pi * frequency / CODATA2018.light_speed
+    width = 2 * half_width_phase / k0
+    geometry = PatchGeometry(width, aspect * width,
+                             SubstrateSpec(eps_r, 0.0027, h))
+    products = (k0 * geometry.width / 2,
+                k0 * (geometry.length + 2 * geometry.fringing_extension))
+    if (products[0] <= MAX_HALF_WIDTH_PHASE
+            and products[1] <= MAX_SEPARATION_PHASE):
+        assert math.isfinite(mutual_conductance_ratio(geometry, frequency))
+        return
+    with pytest.raises(ValidationError, match="^g12 needs k0 W/2 <= "
+                       f"{MAX_HALF_WIDTH_PHASE:g} and k0 \\(L \\+ 2 dL\\) <= "
+                       f"{MAX_SEPARATION_PHASE:g}, not "
+                       f"{re.escape(f'{products[0]:g}')} and "
+                       f"{re.escape(f'{products[1]:g}')}$"):
+        mutual_conductance_ratio(geometry, frequency)
 
 
 LOSSLESS = ("propagation_length",)

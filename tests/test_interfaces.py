@@ -8,7 +8,9 @@ surface only when the benchmark or a demo broke.
 
 import importlib
 import importlib.util
+import os
 import runpy
+import subprocess
 import sys
 import types
 from pathlib import Path
@@ -64,6 +66,37 @@ def test_exported_names_are_their_definitions():
         not obj.__module__.startswith("thzpatch.")
         or getattr(sys.modules[obj.__module__], obj.__name__) is not obj)] \
         == []
+
+
+def _in_fresh_interpreter(code):
+    """What code prints, run by an interpreter that has loaded no layer."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": path})
+    assert run.returncode == 0, run.stderr
+    return run.stdout
+
+
+# The package root binds its names on first use, so a fresh interpreter has
+# none of them bound yet when dir() or pydoc looks.
+def test_dir_lists_every_exported_name():
+    listed = _in_fresh_interpreter("import thzpatch; print(dir(thzpatch))")
+    assert set(thzpatch.__all__) <= set(eval(listed))
+
+
+def test_pydoc_lists_the_exported_names():
+    text = _in_fresh_interpreter(
+        "import pydoc, thzpatch\n"
+        "print(pydoc.render_doc(thzpatch, renderer=pydoc.plaintext))")
+    assert "\n    class GrapheneSheet(" in text
+    assert "\n    evaluate(" in text
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        thzpatch.no_such_name
+    assert not hasattr(thzpatch, "no_such_name")
 
 
 @pytest.mark.parametrize("demo", DEMOS)

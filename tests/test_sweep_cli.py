@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from thzpatch import (SPECTRA_HEADER, SUMMARY_HEADER, NoBoundModeError,
                       Spectrum, SweepCellResult, ValidationError, circuit, cli,
-                      cli_main, emit, evaluate, mutual_conductance_ratio,
+                      cli_main, emit, evaluate, fdtd, mutual_conductance_ratio,
                       parse_config, run_sweep, sweep)
 from thzpatch.errors import MAX_POINTS
 from thzpatch.sweep import fmt9, format_table, summary_row, write_table
@@ -408,18 +408,59 @@ def test_cli_design_json(capsys):
     assert doc["substrate_W_um"] == pytest.approx(2 * doc["W_um"], rel=1e-8)
 
 
-def test_cli_design_never_imports_scipy():
-    code = ("import sys\n"
-            "from thzpatch.cli import cli_main\n"
-            "assert cli_main(['design', '--f0', '280GHz']) == 0\n"
-            "print(sorted(m for m in sys.modules\n"
-            "             if m == 'scipy' or m.startswith('scipy.')))\n")
+def _python(*args):
+    """A fresh interpreter on this checkout's src/, output captured."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                          os.environ.get("PYTHONPATH")]))
-    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, env={**os.environ, "PYTHONPATH": path})
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+
+
+def _modules_loaded_by(code):
+    """sys.modules after code runs in a fresh interpreter."""
+    run = _python("-c", code + "\nimport sys; print(sorted(sys.modules))")
     assert run.returncode == 0, run.stderr
-    assert run.stdout.splitlines()[-1] == "[]"
+    return set(eval(run.stdout.splitlines()[-1]))
+
+
+SHEET = ["--ef", "1.2eV", "--tau", "1.2ps"]
+NO_ARRAYS = ("numpy", "thzpatch.circuit", "thzpatch.fdtd", "thzpatch.sweep")
+
+
+# A cold command loads only the layers it computes with, and none needs
+# scipy. design, resize and a symmetric spp compute nothing with numpy.
+@pytest.mark.parametrize("argv, unloaded", [
+    (["design", "--f0", "280GHz"], NO_ARRAYS),
+    (["resize", "--f0", "280GHz", *SHEET], NO_ARRAYS),
+    (["spp", *SHEET, "--eps", "3.5"], NO_ARRAYS),
+    (["analyze", "--f0", "280GHz", *SHEET, "--points", "11"],
+     ["thzpatch.fdtd"]),
+    (["sweep", str(ROOT / "paper.cfg"), "--out", "{tmp}", "--quiet"],
+     ["thzpatch.fdtd"]),
+    (["fdtd-check", *SHEET, "--resolution", "100", "--points", "3",
+      "--quiet"], ["thzpatch.circuit", "thzpatch.sweep"]),
+], ids=["design", "resize", "spp", "analyze", "sweep", "fdtd-check"])
+def test_cold_command_loads_only_the_layers_it_uses(tmp_path, argv,
+                                                    unloaded):
+    argv = [arg.format(tmp=tmp_path / "paper") for arg in argv]
+    loaded = _modules_loaded_by("from thzpatch.cli import cli_main\n"
+                                f"assert cli_main({argv!r}) == 0")
+    assert "thzpatch.cli" in loaded
+    assert sorted(loaded & set(unloaded)) == []
+    assert [m for m in loaded if m == "scipy" or m.startswith("scipy.")] == []
+
+
+@pytest.mark.parametrize("name", ["kubo_sigma", "fdtd"])
+def test_package_root_loads_every_layer_on_first_use(name):
+    bare = _modules_loaded_by("import thzpatch")
+    assert [m for m in bare if m.startswith("thzpatch.")] == []
+    assert "numpy" not in bare
+    # bench/tracing.py reads sys.modules["thzpatch.<layer>"] for each layer
+    # once a public name has been read.
+    used = _modules_loaded_by(f"import thzpatch\nthzpatch.{name}")
+    assert {f"thzpatch.{layer}" for layer in (
+        "circuit", "cli", "config", "constants", "errors", "fdtd",
+        "materials", "patch", "spp", "sweep")} <= used
 
 
 @pytest.mark.parametrize("flag, value", [("--er", "inf"), ("--er", "nan"),
@@ -576,7 +617,7 @@ def test_cli_fdtd_check_format_without_out_is_a_usage_error(
     def no_run(*args):
         raise AssertionError("ran the FDTD")
 
-    monkeypatch.setattr(cli, "run_sheet_scattering", no_run)
+    monkeypatch.setattr(fdtd, "run_sheet_scattering", no_run)
     assert cli_main(["fdtd-check", "--ef", "1.2eV", "--tau", "1.2ps",
                      "--format", fmt]) == 1
     captured = capsys.readouterr()
@@ -760,10 +801,7 @@ def test_main_exits_with_the_cli_code(monkeypatch, capsys):
 
 
 def _run_module(*args):
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
-                                         os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", *args], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": path})
+    return _python("-m", *args)
 
 
 @pytest.mark.parametrize("module", ["thzpatch", "thzpatch.cli"])
@@ -777,10 +815,17 @@ def test_python_dash_m_runs_the_cli(module):
     assert float(values["L_um"]) == pytest.approx(262.195061, rel=1e-8)
     run = _run_module(module, "design", "--f0", "0GHz")
     assert run.returncode == 1
-    # `-m thzpatch.cli` also gets runpy's warning that the package root has
-    # already imported thzpatch.cli; the error is the last line either way.
     assert run.stderr.splitlines()[-1].startswith("error: frequency must be")
     assert "Traceback" not in run.stderr
+
+
+def test_python_dash_m_cli_gets_no_runpy_warning():
+    # runpy warns when the module it runs is already in sys.modules, so the
+    # package root must not import thzpatch.cli.
+    run = _python("-W", "error::RuntimeWarning", "-m", "thzpatch.cli",
+                  "design", "--f0", "280GHz")
+    assert run.returncode == 0, run.stderr
+    assert run.stderr == ""
 
 
 def test_cli_resize(capsys):
