@@ -55,10 +55,10 @@ _UNIT_TABLES: dict[str, dict[str, float]] = {
 }
 
 MAX_LIST_LENGTH = 10_000  # longest start:stop:step range; spp runs it in < 1 s
-# Cells x points of one sweep. Writing dominates a sweep's cost: 500 cells x
-# 1000 points take 1.1 s of CPU and 102 MB as json (the larger format), 1.0 s
-# and 31 MB as csv, 49 MiB peak either way (Python 3.11, one core of a 2-vCPU
-# VM).
+# Cells x points of one sweep. 500 cells x 1000 points take 0.3 s of CPU to
+# solve, then 0.5 s to write as json (102 MB, the larger format) or 0.3 s as
+# csv (32 MB); the process peaks at 61 MiB RSS (Python 3.11, one core of a
+# 2-vCPU VM).
 MAX_SWEEP_SAMPLES = 500_000
 
 _QUANTITY_RE = re.compile(r"^([-+]?[0-9.]+(?:[eE][-+]?[0-9]+)?)\s*([A-Za-zµ]*)$")

@@ -13,9 +13,14 @@ module); sweep re-binds them and keeps only what needs numpy. CSV output
 is a pair of files (spectra and summary); JSON mirrors the same fields in
 one document. Metal cells have no Fermi level or relaxation time: empty
 fields in CSV, null in JSON. emit writes the spectra, the bulk of a
-sweep's output, one %-template per cell, in the bytes fmt9 and _json9 give
-(see the note above _ghz_texts). Outputs, the csv pair as one, are written
-whole or not at all (write_atomic).
+sweep's output, a block of cells at a time, each block one byte matrix
+(SPECTRA_BLOCK_BYTES). Its numbers come from _texts9, which gives exactly
+the "%.9g" text (repr of its float for JSON) that fmt9 and _json9 give: in
+numpy for a finite, non-zero value whose text is fixed-point (1e-4 <= |v|
+< 1e9 once rounded to 9 digits) and not within 1e-6 of a decimal tie, and
+through the per-value expression for every other value (see the note above
+_texts9). Outputs, the csv pair as one, are written whole or not at all
+(write_atomic).
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ import functools
 import itertools
 import os
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -82,28 +88,122 @@ def run_sweep(config: RunConfig) -> list[SweepCellResult]:
     return cells
 
 
-# Spectra rows are written a cell at a time: the cell's identifying fields
-# are formatted once into a %-template that takes the four numeric columns.
-# "%.9g" is fmt9 of a float. It is also _json9's text of it, the repr of
-# float(fmt9(v)), whenever 1e-3 <= |v| < 1e8 and v is further than
-# 1e-8 |v| from a whole number: %g writes no exponent in that range, a
-# decimal of 9 significant digits survives the trip through a double so
-# repr gives back the same digits, and the rounding (at most 0.5e-8 |v|)
-# cannot reach a whole number, so the "." that repr keeps is there. A
-# column whose every value passes goes through the template as "%.9g"; any
-# other column as per-value texts through "%s". The frequency column holds
-# whole GHz values, so it is formatted as text once per distinct grid.
+# The spectra are written a block of cells at a time. A block is one byte
+# matrix with a row per spectrum point and a fixed-width slot per field; a
+# slot's unused tail holds NUL bytes, dropped when the block becomes text.
+SPECTRA_BLOCK_BYTES = 1 << 20
+_ROW_BYTES = 136      # a JSON row's slots (CSV's take 76) for |values| < 1000
+
+# _texts9 writes "%.9g" % v, or repr(float("%.9g" % v)) for JSON, for a
+# whole array at once wherever that text is fixed-point: v finite and
+# non-zero, and 1e-4 <= |v| < 1e9 once rounded to 9 digits. There
+# e = floor(log10 |v|), corrected by one wherever m = |v| 10**(8 - e) falls
+# outside [1e8, 1e9). The power of ten is exact, so m carries one rounding
+# (under 1e-7) and rint(m) gives the nine digits, unless m's fraction lies
+# within 1e-6 of 0.5, where that rounding could flip the last digit. Every
+# other value, a zero, inf, nan, an exponent form or a near tie, is
+# formatted by the per-value expression. A fast text is laid out as a sign,
+# the whole part's digits in groups of three, the bytes between the whole
+# and the fraction (_POINTS) and the fraction's groups: each group is one
+# little-endian uint32 of three ASCII digits and a NUL, written left to
+# right at three-byte steps so that the next group overwrites that NUL.
+# Zeros that %g does not print (leading in the whole part, trailing in the
+# fraction) are NUL, from the group's variant in _GROUPS.
+_POW10 = np.array([float(10 ** k) for k in range(13)])
+_LEADING, _TRAILING = 1000, 2000
+# [4 json + 2 (whole part is 0) + (fraction is non-zero)]
+_POINTS = np.frombuffer(b"".join(text.ljust(4, b"\0") for text in (
+    b"", b".", b"0", b"0.", b".0", b".", b"0.0", b"0.")), "<u4")
+
+
+def _group_table() -> np.ndarray:
+    """[variant + g]: g in 0..999 as three ASCII digits and a NUL, one
+    little-endian uint32; the variant _LEADING makes g's leading zeros NUL,
+    _TRAILING its trailing zeros, so either makes 0 all NUL."""
+    g = np.arange(1000)
+    digits = np.stack((g // 100, g // 10 % 10, g % 10)) + ord("0")
+    shown = np.stack((np.ones((3, 1000), bool),
+                      (g >= 100, g >= 10, g >= 1),
+                      (g >= 1, g % 100 > 0, g % 10 > 0)))
+    chars = (digits * shown).astype(np.uint32)
+    return (chars[:, 0] | chars[:, 1] << 8 | chars[:, 2] << 16).ravel()
+
+
+_GROUPS = _group_table()
+
+
+def _texts9(values: np.ndarray, json: bool) -> np.ndarray:
+    """Each float64 of values as the ASCII of "%.9g" % v, or of
+    repr(float("%.9g" % v)) if json is set: one row of a uint8 matrix
+    each, NUL in the unused slots."""
+    v = np.asarray(values, dtype=float).ravel()
+    a = np.abs(v)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e = np.fmin(np.fmax(np.floor(np.log10(a)), -4), 8).astype(np.intp)
+        m = a * _POW10[8 - e]
+        # log10 can miss by one next to a power of ten; a zero, inf, nan or
+        # value out of range stays out of [1e8, 1e9) and goes slow.
+        off = np.flatnonzero(~((m >= 1e8) & (m < 1e9)))
+        e[off] = np.clip(e[off] + (m[off] >= 1e9) - (m[off] < 1e8), -4, 8)
+        m[off] = a[off] * _POW10[8 - e[off]]
+        n = np.rint(m)
+        fast = np.abs(m - n) < 0.5 - 1e-6
+    fast[off] &= (m[off] >= 1e8) & (m[off] < 1e9)
+    carry = np.flatnonzero(n == 1e9)
+    n[carry] = 1e8
+    e[carry] += 1
+    fast[carry] &= e[carry] <= 8
+    slow = np.flatnonzero(~fast)
+    n[slow] = 1e8
+    e[slow] = 0
+    scale = _POW10[8 - e]
+    whole = (n / scale).astype(np.int64)      # exact: n < 2**53
+    fraction = ((n - whole * scale) * _POW10[e + 4]).astype(np.int64)
+    groups = []                               # right to left, then reversed
+    above = whole
+    while above.any():
+        high = above // 1000
+        groups.append(_GROUPS.take(above - high * 1000
+                                   + (high == 0) * _LEADING))
+        above = high
+    groups.reverse()
+    groups.append(_POINTS.take(4 * json + 2 * (whole == 0) + (fraction > 0)))
+    rest = fraction                           # 12 digits, left-aligned
+    for place in range(3, -1, -1):
+        if not rest.any():
+            break
+        g = rest // 1000 ** place
+        rest = rest - g * 1000 ** place
+        groups.append(_GROUPS.take(g + (rest == 0) * _TRAILING))
+    texts = ["%.9g" % x for x in v[slow].tolist()]
+    if json:
+        texts = [repr(float(text)) for text in texts]
+    width = max([2 + 3 * len(groups), *map(len, texts)])
+    out = np.zeros((len(v), width), np.uint8)
+    fields = out.view(np.dtype({
+        "names": ["sign", *map(str, range(len(groups)))],
+        "formats": ["u1"] + ["<u4"] * len(groups),
+        "offsets": [0, *range(1, 3 * len(groups), 3)], "itemsize": width}))
+    fields["sign"][v < 0] = ord("-")
+    for i, group in enumerate(groups):
+        fields[str(i)] = group[:, None]
+    if texts:
+        out[slow] = np.array(texts, f"S{width}").view(np.uint8).reshape(
+            -1, width)
+    return out
+
 
 @functools.lru_cache(maxsize=16)
-def _ghz_texts(frequency: bytes) -> tuple[tuple[str, ...], tuple[str, ...]]:
+def _ghz_texts(frequency: bytes) -> tuple[np.ndarray, np.ndarray]:
     """A frequency grid, float64 Hz as bytes, as (csv, json) GHz texts."""
-    csv = tuple(map("%.9g".__mod__,
-                    (np.frombuffer(frequency) / 1e9).tolist()))
-    return csv, tuple(repr(float(text)) for text in csv)
+    texts = tuple(_texts9(np.frombuffer(frequency) / 1e9, json)
+                  for json in (False, True))
+    for matrix in texts:
+        matrix.setflags(write=False)
+    return texts
 
 
-def _frequency_texts(spectrum: Spectrum) -> tuple[tuple[str, ...],
-                                                  tuple[str, ...]]:
+def _frequency_texts(spectrum: Spectrum) -> tuple[np.ndarray, np.ndarray]:
     """The frequency column as (csv, json) texts, formatted once per grid."""
     return _ghz_texts(np.asarray(spectrum.frequency, dtype=float).tobytes())
 
@@ -113,32 +213,69 @@ def _value_columns(spectrum: Spectrum) -> np.ndarray:
                      spectrum.input_reactance))
 
 
-def _csv_spectra(cell: SweepCellResult) -> str:
-    """The cell's SPECTRA_HEADER rows as CSV lines."""
-    key = ",".join(map(fmt9, (cell.variant, cell.fermi_ev, cell.tau_ps)))
-    template = key.replace("%", "%%") + ",%s,%.9g,%.9g,%.9g\n"
-    return "".join(map(template.__mod__, zip(
-        _frequency_texts(cell.spectrum)[0],
-        *_value_columns(cell.spectrum).tolist())))
+def _spectra(cells: list[SweepCellResult], json: bool) -> str:
+    """The cells' SPECTRA_HEADER rows, as CSV lines or as JSON objects
+    joined by ",\\n", from one byte matrix. Each row opens with a \\1
+    that becomes its cell's fields, one replace per cell."""
+    columns = SPECTRA_HEADER.split(",")
+    if json:
+        row = _json_object(columns, ["%s"] * 3 + ["\0"] * 4, "    ") + ",\n"
+    else:
+        row = ",".join(["%s"] * 3 + ["\0"] * 4) + "\n"
+    head, *seps = row.split("\0")
+    key = _json9 if json else fmt9
+    frequencies = [_frequency_texts(cell.spectrum)[json] for cell in cells]
+    values = _texts9(np.concatenate(
+        [_value_columns(cell.spectrum) for cell in cells], axis=1), json)
+    values = values.reshape(3, -1, values.shape[1])
+    width = max(texts.shape[1] for texts in frequencies)
+    block = np.zeros((values.shape[1], 1 + width + len("".join(seps))
+                      + 3 * values.shape[2]), np.uint8)
+    block[:, 0] = 1
+    start = 1 + width
+    for i, sep in enumerate(seps):
+        for part in [np.frombuffer(sep.encode(), np.uint8), *values[i:i + 1]]:
+            block[:, start:start + part.shape[-1]] = part
+            start += part.shape[-1]
+    parts = []
+    row = 0
+    for cell, texts in zip(cells, frequencies):
+        rows = block[row:row + len(texts)]
+        rows[:, 1:1 + texts.shape[1]] = texts
+        row += len(texts)
+        fields = head % tuple(map(key, (cell.variant, cell.fermi_ev,
+                                        cell.tau_ps)))
+        parts.append(rows.tobytes().translate(None, b"\0")
+                     .replace(b"\1", fields.encode()).decode())
+    if json:
+        parts[-1] = parts[-1][:-2]
+    return "".join(parts)
 
 
-def _json_spectra(cell: SweepCellResult) -> str:
-    """The cell's SPECTRA_HEADER rows as JSON objects joined by ",\\n"."""
-    key = [_json9(v).replace("%", "%%")
-           for v in (cell.variant, cell.fermi_ev, cell.tau_ps)]
-    values = _value_columns(cell.spectrum)
-    size = np.abs(values)
-    direct = ((size >= 1e-3) & (size < 1e8)
-              & (np.abs(values - np.rint(values)) > 1e-8 * size)).all(axis=1)
-    columns = [_frequency_texts(cell.spectrum)[1]]
-    conversions = ["%s"]
-    for column, exact in zip(values.tolist(), direct.tolist()):
-        columns.append(column if exact else
-                       [repr(float("%.9g" % v)) for v in column])
-        conversions.append("%.9g" if exact else "%s")
-    template = _json_object(SPECTRA_HEADER.split(","), key + conversions,
-                            "    ")
-    return ",\n".join(map(template.__mod__, zip(*columns)))
+def _csv_spectra(cells: list[SweepCellResult]) -> str:
+    """The cells' SPECTRA_HEADER rows as CSV lines."""
+    return _spectra(cells, False)
+
+
+def _json_spectra(cells: list[SweepCellResult]) -> str:
+    """The cells' SPECTRA_HEADER rows as JSON objects joined by ",\\n"."""
+    return _spectra(cells, True)
+
+
+def _blocks(cells: list[SweepCellResult]) -> Iterator[list[SweepCellResult]]:
+    """The cells in order, in runs whose matrices fill SPECTRA_BLOCK_BYTES
+    or less; a cell with more rows than that is a run of its own."""
+    block: list[SweepCellResult] = []
+    rows = 0
+    for cell in cells:
+        if block and (rows + len(cell.spectrum)) * _ROW_BYTES \
+                > SPECTRA_BLOCK_BYTES:
+            yield block
+            block, rows = [], 0
+        block.append(cell)
+        rows += len(cell.spectrum)
+    if block:
+        yield block
 
 
 def emit(results: list[SweepCellResult], output_format: str,
@@ -161,16 +298,17 @@ def emit(results: list[SweepCellResult], output_format: str,
     if output_format == "csv":
         files = [
             (f"{path}_spectra.csv", itertools.chain(
-                [SPECTRA_HEADER + "\n"], map(_csv_spectra, solved))),
+                [SPECTRA_HEADER + "\n"], map(_csv_spectra, _blocks(solved)))),
             (f"{path}_summary.csv",
              [format_table(SUMMARY_HEADER.split(","), summary)])]
     else:
         columns = SUMMARY_HEADER.split(",")
+        template = _json_object(columns, ["%s"] * len(columns), "    ")
         files = [(f"{path}.json", itertools.chain(
-            ['{\n  "spectra": '], _json_list(map(_json_spectra, solved), "  "),
+            ['{\n  "spectra": '], _json_list(
+                map(_json_spectra, _blocks(solved)), "  "),
             [',\n  "summary": '], _json_list((
-                _json_object(columns, map(_json9, row), "    ")
-                for row in summary), "  "),
+                template % tuple(map(_json9, row)) for row in summary), "  "),
             ["\n}\n"]))]
     write_atomic(files)
     return [file for file, _ in files]

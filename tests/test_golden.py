@@ -1,7 +1,9 @@
 """Reference sweep and CLI outputs pinned byte for byte.
 
 tests/golden/ holds the summary CSV of `thzpatch sweep paper.cfg` verbatim,
-the SHA-256 of the spectra CSV and the JSON document, and the stdout of
+the SHA-256 of the spectra CSV and the JSON document, the SHA-256 of all
+three files of `thzpatch sweep tests/golden/dense.cfg` (metal and a 12 x 12
+graphene grid at 211 points, 91,785 spectra values), and the stdout of
 the design, analyze, resize and spp commands (cli_*.txt/csv/json) in each
 output format. They were written once from a known-good build and are
 never regenerated: a mismatch means a change moved an output byte.
@@ -20,15 +22,16 @@ ROOT = Path(__file__).parent.parent
 GOLDEN = Path(__file__).parent / "golden"
 
 
-def _digests() -> dict[str, str]:
+def _digests(name: str = "paper") -> dict[str, str]:
     pairs = (line.split() for line in
-             (GOLDEN / "paper.sha256").read_text().splitlines())
+             (GOLDEN / f"{name}.sha256").read_text().splitlines())
     return {name: digest for digest, name in pairs}
 
 
-def _sweep(tmp_path, fmt: str) -> None:
-    code = cli_main(["sweep", str(ROOT / "paper.cfg"), "--format", fmt,
-                     "--out", str(tmp_path / "paper"), "--quiet"])
+def _sweep(tmp_path, fmt: str, config: Path = ROOT / "paper.cfg",
+           name: str = "paper") -> None:
+    code = cli_main(["sweep", str(config), "--format", fmt,
+                     "--out", str(tmp_path / name), "--quiet"])
     assert code == 0
 
 
@@ -45,6 +48,13 @@ def test_reference_sweep_json_matches_golden(tmp_path):
     _sweep(tmp_path, "json")
     doc = (tmp_path / "paper.json").read_bytes()
     assert hashlib.sha256(doc).hexdigest() == _digests()["paper.json"]
+
+
+def test_dense_sweep_matches_golden(tmp_path):
+    for fmt in ("csv", "json"):
+        _sweep(tmp_path, fmt, GOLDEN / "dense.cfg", "dense")
+    assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in tmp_path.iterdir()} == _digests("dense")
 
 
 SHEET = ["--ef", "1.2eV", "--tau", "1.2ps"]

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -192,6 +193,84 @@ def test_emit_formats_each_frequency_grid_as_its_own(tmp_path, small_results):
             _assert_emit_matches_reference(tmp_path, results, fmt)
 
 
+def test_emit_matches_the_reference_across_block_edges(tmp_path,
+                                                       monkeypatch,
+                                                       small_results):
+    # Blocks of 1, 2 and 3 cells, and one cell per block with more rows
+    # than a block holds.
+    for rows in (11, 22, 33, 5):
+        monkeypatch.setattr(sweep, "SPECTRA_BLOCK_BYTES",
+                            rows * sweep._ROW_BYTES)
+        assert len(list(sweep._blocks(small_results))) == \
+            {11: 5, 22: 3, 33: 2, 5: 5}[rows]
+        for fmt in ("csv", "json"):
+            _assert_emit_matches_reference(tmp_path, small_results, fmt)
+
+
+def test_emit_matches_the_reference_on_mixed_grids(tmp_path, monkeypatch,
+                                                   small_results):
+    # Cells of 11 and of 37 points, whose frequency texts differ in length
+    # too: all in one block, then in blocks of at most 48 rows, one of which
+    # holds a cell of each grid.
+    longer = run_sweep(parse_config(SMALL_CONFIG.replace(
+        "band = 220, 325 GHz\npoints = 11",
+        "band = 230, 320.5 GHz\npoints = 37")))
+    mixed = small_results + longer
+    for rows in (None, 48):
+        if rows:
+            monkeypatch.setattr(sweep, "SPECTRA_BLOCK_BYTES",
+                                rows * sweep._ROW_BYTES)
+        assert any(len({len(c.spectrum) for c in block}) == 2
+                   for block in sweep._blocks(mixed))
+        for fmt in ("csv", "json"):
+            _assert_emit_matches_reference(tmp_path, mixed, fmt)
+
+
+def _kernel_texts(values, json):
+    return [row.tobytes().translate(None, b"\0").decode()
+            for row in sweep._texts9(np.array(values, dtype=float), json)]
+
+
+# Decimal ties first: an unguarded rint of |v| 10**(8 - e) gives the wrong
+# last digit (89.6487718 for 89.6487719). Then the ends of the fixed-point
+# range, before and after rounding to 9 digits (999999999.7 rounds to 1e+09,
+# 99999.999996 to 100000).
+@given(st.floats())
+@example(89.64877185)
+@example(0.0006691259615)
+@example(0.01556770065)
+@example(22.15539815)
+@example(50883.56995)
+@example(math.nextafter(1e-4, 0))
+@example(1e-4)
+@example(5e-5)
+@example(99999999.95)
+@example(123456789.5)
+@example(999999999.5)
+@example(999999999.7)
+@example(99999.999996)
+@example(1e9)
+@example(-0.0)
+@example(5e-324)
+@example(1e15)
+def test_texts9_is_exactly_the_per_value_text(value):
+    assert _kernel_texts([value], False) == ["%.9g" % value]
+    assert _kernel_texts([value], True) == [repr(float("%.9g" % value))]
+
+
+TIES = [89.64877185, 0.0006691259615, 0.01556770065, 22.15539815,
+        50883.56995]
+
+
+def test_texts9_formats_mixed_arrays_row_by_row():
+    values = [*TIES, 1e-4, 999999999.5, 0.0, float("nan"), float("-inf"),
+              -2.5e-300, 1e300, 3.0, -0.001, 1234.5678]
+    values += [-v for v in values]
+    for json in (False, True):
+        assert _kernel_texts(values, json) == [
+            repr(float("%.9g" % v)) if json else "%.9g" % v for v in values]
+
+
 def _assert_spectra_formatters_match(columns):
     """_csv_spectra and _json_spectra of a cell with these four columns
     give format_table's rows and json.dumps's layout of json_records."""
@@ -200,13 +279,13 @@ def _assert_spectra_formatters_match(columns):
     rows = [("graphene", 0.3, 1.2, p.frequency / 1e9, p.s11_db,
              p.input_resistance, p.input_reactance) for p in cell.spectrum]
     table = format_table(SPECTRA_HEADER.split(","), rows)
-    assert sweep._csv_spectra(cell) == table.split("\n", 1)[1]
+    assert sweep._csv_spectra([cell]) == table.split("\n", 1)[1]
     # json.dumps lays a top-level list out two spaces shallower than the
     # objects of the sweep document's member lists.
     listed = json.dumps(json_records(SPECTRA_HEADER.split(","), rows),
                         indent=2)
     expected = "\n".join("  " + line for line in listed.splitlines()[1:-1])
-    assert sweep._json_spectra(cell) == expected
+    assert sweep._json_spectra([cell]) == expected
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False))
@@ -332,13 +411,15 @@ def test_a_failed_emit_leaves_no_partial_file(tmp_path, monkeypatch,
     real = getattr(sweep, formatter)
     written = []
 
-    def fail_on_third_cell(cell):
-        if len(written) == 2:
+    def fail_on_second_block(cells):
+        if len(written) == 1:
             raise RuntimeError("formatter failed")
-        written.append(cell)
-        return real(cell)
+        written.append(cells)
+        return real(cells)
 
-    monkeypatch.setattr(sweep, formatter, fail_on_third_cell)
+    # One cell of 11 points per block: the file fails after its first block.
+    monkeypatch.setattr(sweep, "SPECTRA_BLOCK_BYTES", 11 * sweep._ROW_BYTES)
+    monkeypatch.setattr(sweep, formatter, fail_on_second_block)
     with pytest.raises(RuntimeError):
         emit(small_results, fmt, str(tmp_path / "out"))
     assert list(tmp_path.iterdir()) == []
