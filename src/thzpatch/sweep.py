@@ -9,17 +9,14 @@ of the sweep continues.
 Serialization is deterministic: identical inputs produce byte-identical
 files. The number format, the headers, the summary rows and the file
 writer live in tables (numpy-free, so the CLI can write without this
-module); sweep re-binds them and keeps only what needs numpy. CSV output
-is a pair of files (spectra and summary); JSON mirrors the same fields in
-one document. Metal cells have no Fermi level or relaxation time: empty
-fields in CSV, null in JSON. emit writes the spectra, the bulk of a
-sweep's output, a block of cells at a time, each block one byte matrix
-(SPECTRA_BLOCK_BYTES). Its numbers come from _texts9, which gives exactly
-the "%.9g" text (repr of its float for JSON) that fmt9 and _json9 give: in
-numpy for a finite, non-zero value whose text is fixed-point (1e-4 <= |v|
-< 1e9 once rounded to 9 digits) and not within 1e-6 of a decimal tie, and
-through the per-value expression for every other value (see the note above
-_texts9). Outputs, the csv pair as one, are written whole or not at all
+module); sweep keeps only what needs numpy. CSV output is a pair of files
+(spectra and summary); JSON mirrors the same fields in one document. Metal
+cells have no Fermi level or relaxation time: empty fields in CSV, null in
+JSON. emit writes the spectra, the bulk of a sweep's output, a block of
+cells at a time (SPECTRA_BLOCK_ROWS), each block one byte matrix whose
+numbers come from _texts9: exactly the text fmt9 and _json9 give, in numpy
+where the note above _texts9 says it can be and per value elsewhere.
+Outputs, the csv pair as one, are written whole or not at all
 (write_atomic).
 """
 
@@ -38,10 +35,9 @@ from .config import RunConfig
 from .errors import ThzPatchError, ValidationError
 from .materials import GrapheneSheet
 from .patch import ConductorSpec, design_patch
-# write_table stays bound here for callers that import it from sweep.
 from .tables import (SPECTRA_HEADER, SUMMARY_HEADER, _json9, _json_list,
                      _json_object, fmt9, format_table, summary_row,
-                     write_atomic, write_table)
+                     write_atomic)
 
 
 @dataclass(frozen=True)
@@ -91,8 +87,9 @@ def run_sweep(config: RunConfig) -> list[SweepCellResult]:
 # The spectra are written a block of cells at a time. A block is one byte
 # matrix with a row per spectrum point and a fixed-width slot per field; a
 # slot's unused tail holds NUL bytes, dropped when the block becomes text.
-SPECTRA_BLOCK_BYTES = 1 << 20
-_ROW_BYTES = 136      # a JSON row's slots (CSV's take 76) for |values| < 1000
+# A JSON row's slots take 136 bytes (CSV's 76) for |values| < 1000, so a
+# block of SPECTRA_BLOCK_ROWS is at most about 1 MiB of matrix.
+SPECTRA_BLOCK_ROWS = 7710
 
 # _texts9 writes "%.9g" % v, or repr(float("%.9g" % v)) for JSON, for a
 # whole array at once wherever that text is fixed-point: v finite and
@@ -175,7 +172,7 @@ def _texts9(values: np.ndarray, json: bool) -> np.ndarray:
         g = rest // 1000 ** place
         rest = rest - g * 1000 ** place
         groups.append(_GROUPS.take(g + (rest == 0) * _TRAILING))
-    texts = ["%.9g" % x for x in v[slow].tolist()]
+    texts = [fmt9(x) for x in v[slow].tolist()]
     if json:
         texts = [repr(float(text)) for text in texts]
     width = max([2 + 3 * len(groups), *map(len, texts)])
@@ -203,20 +200,10 @@ def _ghz_texts(frequency: bytes) -> tuple[np.ndarray, np.ndarray]:
     return texts
 
 
-def _frequency_texts(spectrum: Spectrum) -> tuple[np.ndarray, np.ndarray]:
-    """The frequency column as (csv, json) texts, formatted once per grid."""
-    return _ghz_texts(np.asarray(spectrum.frequency, dtype=float).tobytes())
-
-
-def _value_columns(spectrum: Spectrum) -> np.ndarray:
-    return np.stack((spectrum.s11_db, spectrum.input_resistance,
-                     spectrum.input_reactance))
-
-
-def _spectra(cells: list[SweepCellResult], json: bool) -> str:
+def _spectra(cells: list[SweepCellResult], json: bool) -> bytes:
     """The cells' SPECTRA_HEADER rows, as CSV lines or as JSON objects
-    joined by ",\\n", from one byte matrix. Each row opens with a \\1
-    that becomes its cell's fields, one replace per cell."""
+    joined by ",\\n", in bytes from one byte matrix. Each row opens with
+    a \\1 that becomes its cell's fields, one replace per cell."""
     columns = SPECTRA_HEADER.split(",")
     if json:
         row = _json_object(columns, ["%s"] * 3 + ["\0"] * 4, "    ") + ",\n"
@@ -224,9 +211,13 @@ def _spectra(cells: list[SweepCellResult], json: bool) -> str:
         row = ",".join(["%s"] * 3 + ["\0"] * 4) + "\n"
     head, *seps = row.split("\0")
     key = _json9 if json else fmt9
-    frequencies = [_frequency_texts(cell.spectrum)[json] for cell in cells]
-    values = _texts9(np.concatenate(
-        [_value_columns(cell.spectrum) for cell in cells], axis=1), json)
+    spectra = [cell.spectrum for cell in cells]
+    # Formatted once per grid; _ghz_texts reads the key back as float64.
+    frequencies = [_ghz_texts(np.asarray(s.frequency, dtype=float).tobytes())
+                   [json] for s in spectra]
+    values = _texts9(np.concatenate([(s.s11_db, s.input_resistance,
+                                      s.input_reactance) for s in spectra],
+                                    axis=1), json)
     values = values.reshape(3, -1, values.shape[1])
     width = max(texts.shape[1] for texts in frequencies)
     block = np.zeros((values.shape[1], 1 + width + len("".join(seps))
@@ -246,30 +237,19 @@ def _spectra(cells: list[SweepCellResult], json: bool) -> str:
         fields = head % tuple(map(key, (cell.variant, cell.fermi_ev,
                                         cell.tau_ps)))
         parts.append(rows.tobytes().translate(None, b"\0")
-                     .replace(b"\1", fields.encode()).decode())
+                     .replace(b"\1", fields.encode()))
     if json:
         parts[-1] = parts[-1][:-2]
-    return "".join(parts)
-
-
-def _csv_spectra(cells: list[SweepCellResult]) -> str:
-    """The cells' SPECTRA_HEADER rows as CSV lines."""
-    return _spectra(cells, False)
-
-
-def _json_spectra(cells: list[SweepCellResult]) -> str:
-    """The cells' SPECTRA_HEADER rows as JSON objects joined by ",\\n"."""
-    return _spectra(cells, True)
+    return b"".join(parts)
 
 
 def _blocks(cells: list[SweepCellResult]) -> Iterator[list[SweepCellResult]]:
-    """The cells in order, in runs whose matrices fill SPECTRA_BLOCK_BYTES
-    or less; a cell with more rows than that is a run of its own."""
+    """The cells in order, in runs of SPECTRA_BLOCK_ROWS rows or fewer; a
+    cell with more rows than that is a run of its own."""
     block: list[SweepCellResult] = []
     rows = 0
     for cell in cells:
-        if block and (rows + len(cell.spectrum)) * _ROW_BYTES \
-                > SPECTRA_BLOCK_BYTES:
+        if block and rows + len(cell.spectrum) > SPECTRA_BLOCK_ROWS:
             yield block
             block, rows = [], 0
         block.append(cell)
@@ -298,7 +278,8 @@ def emit(results: list[SweepCellResult], output_format: str,
     if output_format == "csv":
         files = [
             (f"{path}_spectra.csv", itertools.chain(
-                [SPECTRA_HEADER + "\n"], map(_csv_spectra, _blocks(solved)))),
+                [SPECTRA_HEADER + "\n"],
+                (_spectra(block, False) for block in _blocks(solved)))),
             (f"{path}_summary.csv",
              [format_table(SUMMARY_HEADER.split(","), summary)])]
     else:
@@ -306,7 +287,7 @@ def emit(results: list[SweepCellResult], output_format: str,
         template = _json_object(columns, ["%s"] * len(columns), "    ")
         files = [(f"{path}.json", itertools.chain(
             ['{\n  "spectra": '], _json_list(
-                map(_json_spectra, _blocks(solved)), "  "),
+                (_spectra(block, True) for block in _blocks(solved)), "  "),
             [',\n  "summary": '], _json_list((
                 template % tuple(map(_json9, row)) for row in summary), "  "),
             ["\n}\n"]))]

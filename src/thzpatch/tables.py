@@ -10,6 +10,7 @@ resize, a symmetric spp) writes its output without loading them.
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 from typing import Iterable, Iterator, Sequence
@@ -45,16 +46,17 @@ def summary_row(variant: str, fermi_ev: float | None, tau_ps: float | None,
             report.efficiency, report.directivity_dbi, report.gain_dbi)
 
 
-def write_atomic(files: list[tuple[str, Iterable[str]]]) -> None:
+def write_atomic(files: list[tuple[str, Iterable[str | bytes]]]) -> None:
     """Write each (path, chunks) pair's chunks to its path: all or none.
 
     Every path is checked first: one naming no file, or a directory, fails.
-    Missing parents are made. Each text goes to a temporary file beside its
-    path; the temporary files replace their paths only once all of them are
-    complete. Each path but the last, which no later rename can undo, has
-    its earlier file kept aside until every path is replaced. On any error
-    the kept files are put back, the paths that had none are removed, and
-    so are the temporary files.
+    Missing parents are made. A bytes chunk is written as it is, a str
+    chunk as UTF-8 whatever the locale. Each file goes to a temporary file
+    beside its path; the temporary files replace their paths only once all
+    of them are complete. Each path but the last, which no later rename can
+    undo, has its earlier file kept aside until every path is replaced. On
+    any error the kept files are put back, the paths that had none are
+    removed, and so are the temporary files.
     """
     for path, _ in files:
         if not os.path.basename(path) or os.path.isdir(path):
@@ -67,9 +69,10 @@ def write_atomic(files: list[tuple[str, Iterable[str]]]) -> None:
             if head:
                 os.makedirs(head, exist_ok=True)
             tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
-            with open(tmp, "w", newline="\n") as fh:
+            with open(tmp, "wb") as fh:
                 tmps.append(tmp)
-                fh.writelines(chunks)
+                fh.writelines(chunk if isinstance(chunk, bytes)
+                              else chunk.encode() for chunk in chunks)
         for i, (tmp, (path, _)) in enumerate(zip(tmps, files)):
             if i < len(files) - 1:
                 kept = f"{tmp}.old" if os.path.exists(path) else None
@@ -113,9 +116,11 @@ def write_table(columns: Sequence[str], rows: list[Sequence], fmt: str | None,
 
 
 def _json9(value) -> str:
-    """One output cell as JSON text, floats rounded to 9 digits by fmt9."""
-    return json.dumps(float(fmt9(value)) if isinstance(value, float)
-                      else value)
+    """One output cell as JSON text, floats rounded to 9 digits by fmt9.
+    A finite float's JSON text is its repr, as json.dumps writes it."""
+    if isinstance(value, float) and math.isfinite(value):
+        return repr(float(fmt9(value)))
+    return json.dumps(value)
 
 
 def _json_object(columns: Sequence[str], texts: Iterable[str],
@@ -126,11 +131,13 @@ def _json_object(columns: Sequence[str], texts: Iterable[str],
     return f"{indent}{{\n{fields}\n{indent}}}"
 
 
-def _json_list(objects: Iterable[str], indent: str = "") -> Iterator[str]:
+def _json_list(objects: Iterable[str | bytes],
+               indent: str = "") -> Iterator[str | bytes]:
     """Object texts as a list, as json.dumps lays it out at indent."""
     yield "["
     sep = "\n"
     for text in objects:
-        yield sep + text
+        yield sep
+        yield text
         sep = ",\n"
     yield "]" if sep == "\n" else f"\n{indent}]"

@@ -19,7 +19,7 @@ from thzpatch import (SPECTRA_HEADER, SUMMARY_HEADER, NoBoundModeError,
                       cli_main, emit, evaluate, fdtd, mutual_conductance_ratio,
                       parse_config, run_sweep, sweep)
 from thzpatch.errors import MAX_POINTS
-from thzpatch.sweep import fmt9, format_table, summary_row, write_table
+from thzpatch.tables import fmt9, format_table, summary_row, write_table
 
 ROOT = Path(__file__).parent.parent
 
@@ -199,8 +199,7 @@ def test_emit_matches_the_reference_across_block_edges(tmp_path,
     # Blocks of 1, 2 and 3 cells, and one cell per block with more rows
     # than a block holds.
     for rows in (11, 22, 33, 5):
-        monkeypatch.setattr(sweep, "SPECTRA_BLOCK_BYTES",
-                            rows * sweep._ROW_BYTES)
+        monkeypatch.setattr(sweep, "SPECTRA_BLOCK_ROWS", rows)
         assert len(list(sweep._blocks(small_results))) == \
             {11: 5, 22: 3, 33: 2, 5: 5}[rows]
         for fmt in ("csv", "json"):
@@ -218,8 +217,7 @@ def test_emit_matches_the_reference_on_mixed_grids(tmp_path, monkeypatch,
     mixed = small_results + longer
     for rows in (None, 48):
         if rows:
-            monkeypatch.setattr(sweep, "SPECTRA_BLOCK_BYTES",
-                                rows * sweep._ROW_BYTES)
+            monkeypatch.setattr(sweep, "SPECTRA_BLOCK_ROWS", rows)
         assert any(len({len(c.spectrum) for c in block}) == 2
                    for block in sweep._blocks(mixed))
         for fmt in ("csv", "json"):
@@ -272,20 +270,20 @@ def test_texts9_formats_mixed_arrays_row_by_row():
 
 
 def _assert_spectra_formatters_match(columns):
-    """_csv_spectra and _json_spectra of a cell with these four columns
-    give format_table's rows and json.dumps's layout of json_records."""
+    """_spectra of a cell with these four columns gives format_table's
+    rows as CSV and json.dumps's layout of json_records as JSON."""
     cell = SweepCellResult("graphene", 0.3, 1.2, None,
                            Spectrum(*map(np.array, columns)), None)
     rows = [("graphene", 0.3, 1.2, p.frequency / 1e9, p.s11_db,
              p.input_resistance, p.input_reactance) for p in cell.spectrum]
     table = format_table(SPECTRA_HEADER.split(","), rows)
-    assert sweep._csv_spectra([cell]) == table.split("\n", 1)[1]
+    assert sweep._spectra([cell], False).decode() == table.split("\n", 1)[1]
     # json.dumps lays a top-level list out two spaces shallower than the
     # objects of the sweep document's member lists.
     listed = json.dumps(json_records(SPECTRA_HEADER.split(","), rows),
                         indent=2)
     expected = "\n".join("  " + line for line in listed.splitlines()[1:-1])
-    assert sweep._json_spectra([cell]) == expected
+    assert sweep._spectra([cell], True).decode() == expected
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False))
@@ -305,13 +303,14 @@ def test_spectra_row_formatters_match_fmt9_and_json(value):
     _assert_spectra_formatters_match([[value]] * 4)
 
 
-# Values at the edges of the range where "%.9g" is the JSON text: whole
-# numbers, the ends of [1e-3, 1e8), values that round to a whole number or
-# to 1e8 and beyond, huge and subnormal magnitudes, and -0.0.
+# Values at the edges of _texts9's fixed-point range [1e-4, 1e9): whole
+# numbers, its ends before and after rounding to 9 digits, values that round
+# to a whole number or to a power of ten, huge and subnormal magnitudes, and
+# -0.0.
 EDGE_VALUES = [3.0, -120.0, 2.0 ** 53, 1e-3, -1e-3, 0.000999999999, 1e8,
                -1e8, 99999999.99999, 99999999.5, 999999999.5, 1e16, -0.0,
                0.0, 5e-324, -1e-310, 2.2250738585072014e-308, 0.5, 1.5,
-               12345.0000001]
+               12345.0000001, 1e-4, math.nextafter(1e-4, 0), 99999.999996]
 
 
 @given(st.integers(1, 40).flatmap(lambda n: st.lists(
@@ -320,8 +319,8 @@ EDGE_VALUES = [3.0, -120.0, 2.0 ** 53, 1e-3, -1e-3, 0.000999999999, 1e8,
              min_size=n, max_size=n),
     min_size=4, max_size=4)))
 def test_spectra_formatters_match_on_mixed_columns(columns):
-    # One value that breaks the "%.9g" rule anywhere in a column must send
-    # the whole column through the exact per-value texts.
+    # A column mixes values the kernel formats with values it formats one
+    # by one (outside its range, zeros, near ties); each row's text is exact.
     _assert_spectra_formatters_match(columns)
 
 
@@ -401,25 +400,24 @@ def test_write_atomic_undoes_the_first_rename_when_the_second_fails(
     assert Path(first).read_text() == Path(second).read_text() == "new\n"
 
 
-@pytest.mark.parametrize("fmt, formatter, target", [
-    ("csv", "_csv_spectra", "out_spectra.csv"),
-    ("json", "_json_spectra", "out.json"),
+@pytest.mark.parametrize("fmt, target", [
+    ("csv", "out_spectra.csv"),
+    ("json", "out.json"),
 ])
 def test_a_failed_emit_leaves_no_partial_file(tmp_path, monkeypatch,
-                                              small_results, fmt, formatter,
-                                              target):
-    real = getattr(sweep, formatter)
+                                              small_results, fmt, target):
+    real = sweep._spectra
     written = []
 
-    def fail_on_second_block(cells):
+    def fail_on_second_block(cells, json):
         if len(written) == 1:
             raise RuntimeError("formatter failed")
         written.append(cells)
-        return real(cells)
+        return real(cells, json)
 
     # One cell of 11 points per block: the file fails after its first block.
-    monkeypatch.setattr(sweep, "SPECTRA_BLOCK_BYTES", 11 * sweep._ROW_BYTES)
-    monkeypatch.setattr(sweep, formatter, fail_on_second_block)
+    monkeypatch.setattr(sweep, "SPECTRA_BLOCK_ROWS", 11)
+    monkeypatch.setattr(sweep, "_spectra", fail_on_second_block)
     with pytest.raises(RuntimeError):
         emit(small_results, fmt, str(tmp_path / "out"))
     assert list(tmp_path.iterdir()) == []
@@ -907,6 +905,21 @@ def test_python_dash_m_cli_gets_no_runpy_warning():
                   "design", "--f0", "280GHz")
     assert run.returncode == 0, run.stderr
     assert run.stderr == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", str(ROOT / "paper.cfg"), "--format", "csv", "--quiet"],
+    ["sweep", str(ROOT / "paper.cfg"), "--format", "json", "--quiet"],
+    ["design", "--f0", "280GHz", "--format", "json"],
+])
+def test_output_files_do_not_depend_on_the_locale(tmp_path, argv):
+    # Files are written as UTF-8 bytes: a writer that leaves the encoding
+    # to the locale raises EncodingWarning here.
+    run = _python("-X", "warn_default_encoding", "-W",
+                  "error::EncodingWarning", "-m", "thzpatch", *argv,
+                  "--out", str(tmp_path / "out"))
+    assert run.returncode == 0, run.stderr
+    assert os.listdir(tmp_path)
 
 
 def test_cli_resize(capsys):
