@@ -24,7 +24,7 @@ import sys
 # circuit, fdtd, spp and sweep are imported by the commands that use them,
 # so a cold design or resize loads none of them, nor numpy.
 from .config import parse_config, parse_quantity, parse_quantity_list
-from .errors import NumericalError, ValidationError
+from .errors import ConfigError, NumericalError, ValidationError
 from .materials import GrapheneSheet, kubo_sigma
 from .patch import (ConductorSpec, SubstrateSpec, design_patch, f_res_metal,
                     graphene_resonance, patch_for_target)
@@ -85,8 +85,14 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from .sweep import emit, run_sweep
-    with open(args.config, encoding="utf-8") as fh:
-        config = parse_config(fh.read())
+    with open(args.config, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{args.config}: not UTF-8 at byte {exc.start} "
+                          f"({exc.reason})") from None
+    config = parse_config(text)
     results = run_sweep(config)
     for cell in results:
         if cell.error is not None:

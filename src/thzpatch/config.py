@@ -2,8 +2,9 @@
 
 Flat INI-like sections of `key = value` lines. Dimensioned values carry a
 mandatory unit suffix; lists are comma separated; arithmetic ranges use
-start:stop:step (inclusive stop). A unit written once at the end of a list
-or range applies to every element before it.
+start:stop:step (inclusive stop). In a list or a range, a value written
+without a unit takes the unit of the nearest value after it, and any text
+after a value's unit is an error.
 
     # reference setup
     [substrate]
@@ -99,27 +100,25 @@ def _parse_number(text: str, key: str, line: int, kind=float):
         raise ConfigError(f"{_ctx(key, line)}: not a number: {text!r}")
 
 
-def parse_quantity(text: str, dimension: str, key: str, line: int = 0,
-                   unit: str | None = None) -> float:
+def parse_quantity(text: str, dimension: str, key: str,
+                   line: int = 0) -> float:
     """One number with unit suffix, converted to the canonical unit.
 
-    `unit` supplies an inherited suffix for list elements written without
-    their own. line = 0 marks a command-line flag rather than a file key.
+    line = 0 marks a command-line flag rather than a file key.
     """
-    number, scale = _quantity(text, dimension, key, line, unit)
+    number, scale, _ = _quantity(text, dimension, key, line)
     return float(number) * scale
 
 
 def _quantity(text: str, dimension: str, key: str, line: int,
-              unit: str | None) -> tuple[Decimal, float]:
-    """The literal number of a quantity and the scale of its unit."""
+              unit: str | None = None) -> tuple[Decimal, float, str]:
+    """The literal number of a quantity, the scale of its unit and the
+    unit, which is `unit` for a number written without a suffix."""
     table = _UNIT_TABLES[dimension]
     m = _QUANTITY_RE.match(text.strip())
     if not m:
         raise ConfigError(f"{_ctx(key, line)}: cannot parse quantity {text!r}")
-    number, suffix = m.group(1), m.group(2)
-    if not suffix:
-        suffix = unit or ""
+    number, suffix = m.group(1), m.group(2) or unit
     if not suffix:
         raise UnitError(
             f"{_ctx(key, line)}: missing unit suffix on {text!r} "
@@ -128,58 +127,46 @@ def _quantity(text: str, dimension: str, key: str, line: int,
         raise UnitError(
             f"{_ctx(key, line)}: unknown unit {suffix!r} "
             f"(expected one of {', '.join(sorted(table))})")
-    return _parse_number(number, key, line, Decimal), table[suffix]
-
-
-def _trailing_unit(text: str) -> tuple[str, str | None]:
-    """Split a trailing alphabetic unit off a numeric expression."""
-    m = re.match(r"^(.*?)\s*([A-Za-zµ]+)$", text.strip())
-    if m:
-        return m.group(1), m.group(2)
-    return text.strip(), None
+    return _parse_number(number, key, line, Decimal), table[suffix], suffix
 
 
 def parse_quantity_list(text: str, dimension: str, key: str,
                         line: int = 0) -> list[float]:
-    """Comma list or start:stop:step range, with unit inheritance."""
-    table = _UNIT_TABLES[dimension]
-    if ":" in text:
-        body, unit = _trailing_unit(text)
-        parts = body.split(":")
-        if len(parts) != 3:
-            raise ConfigError(f"{_ctx(key, line)}: range must be "
-                              f"start:stop:step, got {text!r}")
-        if unit is None:
-            raise UnitError(f"{_ctx(key, line)}: range needs a unit "
-                            f"suffix (one of {', '.join(sorted(table))})")
-        quantities = [_quantity(p, dimension, key, line, unit) for p in parts]
-        scale = quantities[2][1]
-        # Step the literals exactly, in the step's unit, from an integer
-        # count: a range yields the floats of the comma list it abbreviates.
-        start, stop, step = (n * Decimal(str(s)) / Decimal(str(scale))
-                             for n, s in quantities)
-        if step <= 0 or stop < start:
-            raise ConfigError(f"{_ctx(key, line)}: need step > 0 and "
-                              f"stop >= start")
-        count = int((stop - start) / step)
-        if count + 1 > MAX_LIST_LENGTH:
-            raise ConfigError(f"{_ctx(key, line)}: range has {count + 1} "
-                              f"entries, more than {MAX_LIST_LENGTH}")
-        return [float(start + k * step) * scale for k in range(count + 1)]
-
-    items = [item.strip() for item in text.split(",")]
-    if any(not item for item in items):
+    """Comma list or start:stop:step range; a value written without a
+    unit takes the unit of the nearest value after it."""
+    is_range = ":" in text
+    items = [item.strip() for item in text.split(":" if is_range else ",")]
+    if is_range and len(items) != 3:
+        raise ConfigError(f"{_ctx(key, line)}: range must be "
+                          f"start:stop:step, got {text!r}")
+    if not is_range and not all(items):
         raise ConfigError(f"{_ctx(key, line)}: empty list element")
-    # Walk right to left so a final unit annotates the bare values before it.
-    unit: str | None = None
-    out: list[float] = []
+    last = _QUANTITY_RE.match(items[-1])
+    if is_range and last and not last.group(2):
+        units = ", ".join(sorted(_UNIT_TABLES[dimension]))
+        raise UnitError(f"{_ctx(key, line)}: range needs a unit suffix "
+                        f"(one of {units})")
+    # Walk right to left so a unit annotates the bare values before it.
+    quantities, unit = [], None
     for item in reversed(items):
-        _, own_unit = _trailing_unit(item)
-        if own_unit is not None:
-            unit = own_unit
-        out.append(parse_quantity(item, dimension, key, line, unit))
-    out.reverse()
-    return out
+        number, scale, unit = _quantity(item, dimension, key, line, unit)
+        quantities.append((number, scale))
+    quantities.reverse()
+    if not is_range:
+        return [float(number) * scale for number, scale in quantities]
+    scale = quantities[2][1]
+    # Step the literals exactly, in the step's unit, from an integer
+    # count: a range yields the floats of the comma list it abbreviates.
+    start, stop, step = (n * Decimal(str(s)) / Decimal(str(scale))
+                         for n, s in quantities)
+    if step <= 0 or stop < start:
+        raise ConfigError(f"{_ctx(key, line)}: need step > 0 and "
+                          f"stop >= start")
+    count = int((stop - start) / step)
+    if count + 1 > MAX_LIST_LENGTH:
+        raise ConfigError(f"{_ctx(key, line)}: range has {count + 1} "
+                          f"entries, more than {MAX_LIST_LENGTH}")
+    return [float(start + k * step) * scale for k in range(count + 1)]
 
 
 # Every key of each section, in the order a missing one is reported. No

@@ -91,7 +91,7 @@ def run_sweep(config: RunConfig) -> list[SweepCellResult]:
 # block of SPECTRA_BLOCK_ROWS is at most about 1 MiB of matrix.
 SPECTRA_BLOCK_ROWS = 7710
 
-# _texts9 writes "%.9g" % v, or repr(float("%.9g" % v)) for JSON, for a
+# _texts9 writes "%.9g" % v, or _json9(v) for JSON, for a
 # whole array at once wherever that text is fixed-point: v finite and
 # non-zero, and 1e-4 <= |v| < 1e9 once rounded to 9 digits. There
 # e = floor(log10 |v|), corrected by one wherever m = |v| 10**(8 - e) falls
@@ -130,9 +130,9 @@ _GROUPS = _group_table()
 
 
 def _texts9(values: np.ndarray, json: bool) -> np.ndarray:
-    """Each float64 of values as the ASCII of "%.9g" % v, or of
-    repr(float("%.9g" % v)) if json is set: one row of a uint8 matrix
-    each, NUL in the unused slots."""
+    """Each float64 of values as the ASCII of "%.9g" % v, or of _json9(v)
+    if json is set: one row of a uint8 matrix each, NUL in the unused
+    slots."""
     v = np.asarray(values, dtype=float).ravel()
     a = np.abs(v)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -172,9 +172,7 @@ def _texts9(values: np.ndarray, json: bool) -> np.ndarray:
         g = rest // 1000 ** place
         rest = rest - g * 1000 ** place
         groups.append(_GROUPS.take(g + (rest == 0) * _TRAILING))
-    texts = [fmt9(x) for x in v[slow].tolist()]
-    if json:
-        texts = [repr(float(text)) for text in texts]
+    texts = list(map(_json9 if json else fmt9, v[slow].tolist()))
     width = max([2 + 3 * len(groups), *map(len, texts)])
     out = np.zeros((len(v), width), np.uint8)
     fields = out.view(np.dtype({

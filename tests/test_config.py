@@ -1,6 +1,7 @@
 """Config grammar: units, lists, ranges, and fail-fast validation."""
 
 import re
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -113,6 +114,34 @@ def test_range_is_inclusive_of_stop():
     assert len(freqs) == 22
     assert freqs[0] == 220e9
     assert freqs[-1] == pytest.approx(325e9, rel=1e-9)
+
+
+@given(start=st.integers(-10**6, 10**6), step=st.integers(1, 10**6),
+       steps=st.integers(0, 50), tenths=st.integers(0, 9),
+       places=st.integers(0, 6),
+       unit=st.sampled_from(["Hz", "kHz", "MHz", "GHz", "THz"]))
+def test_range_is_the_comma_list_written_out(start, step, steps, tenths,
+                                             places, unit):
+    # Decimal literals, and a stop that may lie short of the next step.
+    start, step = (Decimal(n).scaleb(-places) for n in (start, step))
+    stop = start + steps * step + tenths * step / 10
+    written = ", ".join(str(start + k * step) for k in range(steps + 1))
+    assert parse_quantity_list(f"{start}:{stop}:{step} {unit}", "frequency",
+                               "f") == \
+        parse_quantity_list(f"{written} {unit}", "frequency", "f")
+
+
+@pytest.mark.parametrize("text, dimension",
+                         [("220 GHz:230 GHz:5 GHz banana", "frequency"),
+                          ("0.3 eV:1.2 eV:0.3 eV GHz", "energy")])
+def test_range_rejects_text_after_a_unit(text, dimension):
+    with pytest.raises(ConfigError, match=r"cannot parse quantity"):
+        parse_quantity_list(text, dimension, "f")
+
+
+def test_range_element_takes_the_unit_after_it_as_in_a_list():
+    assert parse_quantity_list("0.3:1.2 eV:300 meV", "energy", "ef") == \
+        parse_quantity_list("0.3, 0.6, 0.9, 1.2 eV", "energy", "ef")
 
 
 def test_range_needs_unit():

@@ -1,6 +1,7 @@
 """Sweep orchestration, serialization schemas, and the command line."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -19,7 +20,8 @@ from thzpatch import (SPECTRA_HEADER, SUMMARY_HEADER, NoBoundModeError,
                       cli_main, emit, evaluate, fdtd, mutual_conductance_ratio,
                       parse_config, run_sweep, sweep)
 from thzpatch.errors import MAX_POINTS
-from thzpatch.tables import fmt9, format_table, summary_row, write_table
+from thzpatch.tables import (_json9, fmt9, format_table, summary_row,
+                             write_table)
 
 ROOT = Path(__file__).parent.parent
 
@@ -253,7 +255,7 @@ def _kernel_texts(values, json):
 @example(1e15)
 def test_texts9_is_exactly_the_per_value_text(value):
     assert _kernel_texts([value], False) == ["%.9g" % value]
-    assert _kernel_texts([value], True) == [repr(float("%.9g" % value))]
+    assert _kernel_texts([value], True) == [_json9(value)]
 
 
 TIES = [89.64877185, 0.0006691259615, 0.01556770065, 22.15539815,
@@ -266,7 +268,25 @@ def test_texts9_formats_mixed_arrays_row_by_row():
     values += [-v for v in values]
     for json in (False, True):
         assert _kernel_texts(values, json) == [
-            repr(float("%.9g" % v)) if json else "%.9g" % v for v in values]
+            _json9(v) if json else "%.9g" % v for v in values]
+
+
+def test_emit_writes_non_finite_spectra_as_the_reference_writer(
+        tmp_path, small_results):
+    # JSON spells NaN and the infinities as json.dumps does, so json.load
+    # reads the document back.
+    s = small_results[1].spectrum
+    s11 = np.array(s.s11_db)
+    s11[:3] = [math.nan, math.inf, -math.inf]
+    cell = dataclasses.replace(small_results[1], spectrum=Spectrum(
+        s.frequency, s11, s.input_resistance, s.input_reactance))
+    results = [small_results[0], cell]
+    for fmt in ("csv", "json"):
+        _assert_emit_matches_reference(tmp_path, results, fmt)
+    with open(tmp_path / "out.json", encoding="utf-8") as fh:
+        rows = json.load(fh)["spectra"][len(s):len(s) + 3]
+    nan, inf, minus_inf = (row["s11_dB"] for row in rows)
+    assert math.isnan(nan) and inf == math.inf and minus_inf == -math.inf
 
 
 def _assert_spectra_formatters_match(columns):
@@ -558,6 +578,15 @@ def test_cli_sweep_non_finite_config_is_a_usage_error(tmp_path, capsys):
     assert cli_main(["sweep", str(bad)]) == 1
     err = capsys.readouterr().err
     assert "line 2: key 'rel_permittivity': must be finite" in err
+    assert "Traceback" not in err
+
+
+def test_cli_sweep_config_not_in_utf8_is_a_usage_error(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"\xff\xfe" + SMALL_CONFIG.encode("utf-16-le"))
+    assert cli_main(["sweep", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {bad}: not UTF-8 at byte 0" in err
     assert "Traceback" not in err
 
 
