@@ -26,11 +26,11 @@ The feed is a fixed ideal transformer chosen once per geometry so that the
 metal variant is matched to the 50 ohm reference at its resonance; graphene
 variants then show up as mismatch, with shallower dips for lossier sheets.
 S11 floors at -120 dB to keep logs finite at a perfect match. Each variant's
-RLC equivalent is solved once (_resonator keeps the last few): a sweep cell
-asks for its variant's twice and for the feed's once, and the feed, the
-same in every cell of a geometry, is solved once per geometry. The -10 dB
-bandwidth is interpolated from the samples: it is within two sample steps
-of the continuous RLC band when both band edges lie inside the spectrum.
+RLC equivalent is solved once (_resonator keeps the last few), and so is the
+feed, the same for every variant of a geometry. The spectra and -10 dB bands
+come from row kernels that take one row or a sweep's (cells, points) arrays.
+A band is interpolated from the samples: it is within two sample steps of
+the continuous RLC band when both band edges lie inside the spectrum.
 """
 
 from __future__ import annotations
@@ -195,9 +195,9 @@ def q_factors(geometry: PatchGeometry, conductor: ConductorSpec,
                     q_dielectric=q_diel, q_total=q_total)
 
 
-# s11_spectrum asks for the variant's triple and the feed's, and evaluate
-# for the variant's again; evaluate must call the public s11_spectrum, which
-# the benchmark's traced run times, so the triple is shared by this memo.
+# evaluate asks for the variant's triple twice, through _solve and for its
+# report (it must call the public s11_spectrum, which the benchmark's traced
+# run times); the feed's is asked for by every variant of the geometry.
 @functools.lru_cache(maxsize=4)
 def _resonator(geometry: PatchGeometry, conductor: ConductorSpec
                ) -> tuple[float, QFactors, float]:
@@ -208,9 +208,11 @@ def _resonator(geometry: PatchGeometry, conductor: ConductorSpec
     return f_res, qf, r_peak
 
 
-def s11_spectrum(geometry: PatchGeometry, conductor: ConductorSpec,
-                 band: tuple[float, float], points: int) -> Spectrum:
-    """Reflection response over the band against the 50 ohm reference."""
+def _solve(geometry: PatchGeometry, conductor: ConductorSpec,
+           band: tuple[float, float], points: int
+           ) -> tuple[float, QFactors, float, float]:
+    """(f_res, Q factors, R_peak, n^2) of the variant on its feed, after
+    every check that sampling it over the band needs."""
     require_grid(band, points)
     f_res, qf, r_peak = _resonator(geometry, conductor)
     # The feed transformer matches the metal variant to the reference.
@@ -218,20 +220,56 @@ def s11_spectrum(geometry: PatchGeometry, conductor: ConductorSpec,
     _require_double_range(r_peak=r_peak, n_squared=n_sq)
     # numpy divides by n_sq as a product with 1 / n_sq: bound that product.
     _require_double_range(input_resistance=r_peak * (1 / n_sq))
+    return f_res, qf, r_peak, n_sq
 
-    freqs = np.linspace(band[0], band[1], points)
+
+def _s11_rows(freqs: np.ndarray, f_res, q_total, r_peak, n_sq
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(S11 dB, R_in, X_in) over freqs: one row for scalar parameters, a
+    row per entry for (rows, 1) columns."""
     # 1 + i q detune, built so that a detuning that overflows far from the
     # resonance gives 1 + i inf (and z_in its limit 0), not 0 * inf = nan.
-    denominator = np.ones(points, dtype=complex)
     with np.errstate(over="ignore"):
-        denominator.imag = qf.q_total * (freqs / f_res - f_res / freqs)
+        detune = q_total * (freqs / f_res - f_res / freqs)
+    denominator = np.ones(detune.shape, dtype=complex)
+    denominator.imag = detune
     z_in = (r_peak / denominator) / n_sq
     gamma = (z_in - REFERENCE_IMPEDANCE) / (z_in + REFERENCE_IMPEDANCE)
     with np.errstate(divide="ignore"):
         s11_db = 20 * np.log10(np.abs(gamma))
-    s11_db = np.maximum(s11_db, S11_FLOOR_DB)
-    return Spectrum(frequency=freqs, s11_db=s11_db,
-                    input_resistance=z_in.real, input_reactance=z_in.imag)
+    return np.maximum(s11_db, S11_FLOOR_DB), z_in.real, z_in.imag
+
+
+def s11_spectrum(geometry: PatchGeometry, conductor: ConductorSpec,
+                 band: tuple[float, float], points: int) -> Spectrum:
+    """Reflection response over the band against the 50 ohm reference."""
+    f_res, qf, r_peak, n_sq = _solve(geometry, conductor, band, points)
+    freqs = np.linspace(band[0], band[1], points)
+    return Spectrum(freqs, *_s11_rows(freqs, f_res, qf.q_total, r_peak, n_sq))
+
+
+def _bandwidths(freqs: np.ndarray, s11_db: np.ndarray) -> np.ndarray:
+    """bandwidth_minus10db of each row of s11_db (rows, len(freqs))."""
+    threshold, n = -10.0, len(freqs)
+    rows = np.arange(len(s11_db))[:, None]
+    # Each run of samples at or below the threshold is labelled by the count
+    # of samples above it before the run; the dip region is the run that
+    # holds the deepest sample.
+    above = s11_db > threshold
+    runs = above.cumsum(axis=1)
+    deepest = s11_db.argmin(axis=1, keepdims=True)
+    dip = ~above & (runs == runs[rows, deepest])
+    # edges[:, k + 1]: where the line from sample k to sample k + 1 meets
+    # the threshold; edges[:, 0] and edges[:, n]: the spectrum's edges.
+    edges = np.empty((len(s11_db), n + 1))
+    edges[:, 0], edges[:, n] = freqs[0], freqs[-1]
+    s0, s1 = s11_db[:, :-1], s11_db[:, 1:]
+    with np.errstate(all="ignore"):   # at pairs that bound no dip region
+        edges[:, 1:n] = (freqs[:-1] + (threshold - s0) / (s1 - s0)
+                         * (freqs[1:] - freqs[:-1]))
+        width = (edges[rows, n - dip[:, ::-1].argmax(axis=1, keepdims=True)]
+                 - edges[rows, dip.argmax(axis=1, keepdims=True)])
+    return np.where(above[rows, deepest], 0.0, width)[:, 0]
 
 
 def bandwidth_minus10db(spectrum: Spectrum) -> float:
@@ -243,29 +281,9 @@ def bandwidth_minus10db(spectrum: Spectrum) -> float:
     """
     if len(spectrum) < 2:
         raise ValidationError("spectrum needs at least 2 points")
-    if np.any(np.diff(spectrum.frequency) <= 0):
+    if (spectrum.frequency[1:] <= spectrum.frequency[:-1]).any():
         raise ValidationError("spectrum must be sorted by frequency")
-    threshold = -10.0
-    i_min = int(np.argmin(spectrum.s11_db))
-    if spectrum.s11_db[i_min] > threshold:
-        return 0.0
-
-    # The dip region: the run of samples at or below the threshold
-    # that contains the deepest one.
-    above = np.flatnonzero(spectrum.s11_db > threshold)
-    lo = int(above[above < i_min].max(initial=-1)) + 1
-    hi = int(above[above > i_min].min(initial=len(spectrum))) - 1
-
-    freqs, s11 = spectrum.frequency, spectrum.s11_db
-
-    def crossing(i: int) -> float:
-        """Where the line from sample i to sample i + 1 meets the threshold."""
-        frac = (threshold - s11[i]) / (s11[i + 1] - s11[i])
-        return freqs[i] + frac * (freqs[i + 1] - freqs[i])
-
-    f_left = freqs[0] if lo == 0 else crossing(lo - 1)
-    f_right = freqs[-1] if hi == len(s11) - 1 else crossing(hi)
-    return float(f_right - f_left)
+    return float(_bandwidths(spectrum.frequency, spectrum.s11_db[None])[0])
 
 
 def directivity_dbi(geometry: PatchGeometry, frequency: float) -> float:
@@ -283,6 +301,22 @@ def directivity_dbi(geometry: PatchGeometry, frequency: float) -> float:
     return 6.6 + 10 * math.log10(aperture)
 
 
+def _report(f_res: float, qf: QFactors, d_dbi: float, min_s11_db: float,
+            bandwidth: float) -> AntennaReport:
+    """A solved variant's summary. The gain takes the log of each Q apart:
+    on a thin, dense substrate their ratio underflows to 0 (q_total 7e-145
+    over q_radiation 3e179 at 1 GHz, h 1e-150 m, eps_r 8e30)."""
+    return AntennaReport(
+        resonant_frequency=f_res,
+        min_s11_db=float(min_s11_db),
+        bandwidth_minus10db=float(bandwidth),
+        efficiency=qf.q_total / qf.q_radiation,
+        directivity_dbi=d_dbi,
+        gain_dbi=d_dbi + 10 * (math.log10(qf.q_total)
+                               - math.log10(qf.q_radiation)),
+    )
+
+
 def evaluate(geometry: PatchGeometry, conductor: ConductorSpec,
              band: tuple[float, float] = (220e9, 325e9),
              points: int = 211) -> tuple[AntennaReport, Spectrum]:
@@ -290,22 +324,12 @@ def evaluate(geometry: PatchGeometry, conductor: ConductorSpec,
 
     Efficiency is q_total/q_radiation at the variant's own resonance;
     directivity is evaluated there too. The dip depth and bandwidth come
-    from the sampled spectrum over the band. The gain takes the log of each
-    Q apart: on a thin, dense substrate the ratio underflows to 0 (q_total
-    7e-145 over q_radiation 3e179 at 1 GHz, h 1e-150 m, eps_r 8e30).
+    from the sampled spectrum over the band.
     """
     spectrum = s11_spectrum(geometry, conductor, band, points)
     f_res, qf, _ = _resonator(geometry, conductor)
-    d_dbi = directivity_dbi(geometry, f_res)
-    report = AntennaReport(
-        resonant_frequency=f_res,
-        min_s11_db=float(spectrum.s11_db.min()),
-        bandwidth_minus10db=bandwidth_minus10db(spectrum),
-        efficiency=qf.q_total / qf.q_radiation,
-        directivity_dbi=d_dbi,
-        gain_dbi=d_dbi + 10 * (math.log10(qf.q_total)
-                               - math.log10(qf.q_radiation)),
-    )
+    report = _report(f_res, qf, directivity_dbi(geometry, f_res),
+                     spectrum.s11_db.min(), bandwidth_minus10db(spectrum))
     return report, spectrum
 
 

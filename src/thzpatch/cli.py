@@ -88,7 +88,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     with open(args.config, "rb") as fh:
         data = fh.read()
     try:
-        text = data.decode("utf-8")
+        # A leading BOM is dropped after decoding, not by utf-8-sig, so the
+        # byte offset reported below still counts from the file's start.
+        text = data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{args.config}: not UTF-8 at byte {exc.start} "
                           f"({exc.reason})") from None

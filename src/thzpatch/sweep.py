@@ -4,7 +4,8 @@ A sweep designs the patch once from the config, then evaluates every
 conductor variant: the metal baseline as a single cell, graphene as the
 full Fermi-level x relaxation-time grid. Cells fail independently; an
 error in one parameter combination is recorded in that cell and the rest
-of the sweep continues.
+of the sweep continues. The solved cells' spectra and bands are formed
+together, one row each of shared (cells, points) arrays that are read-only.
 
 Serialization is deterministic: identical inputs produce byte-identical
 files. The number format, the headers, the summary rows and the file
@@ -13,9 +14,9 @@ module); sweep keeps only what needs numpy. CSV output is a pair of files
 (spectra and summary); JSON mirrors the same fields in one document. Metal
 cells have no Fermi level or relaxation time: empty fields in CSV, null in
 JSON. emit writes the spectra, the bulk of a sweep's output, a block of
-cells at a time (SPECTRA_BLOCK_ROWS), each block one byte matrix whose
-numbers come from _texts9: exactly the text fmt9 and _json9 give, in numpy
-where the note above _texts9 says it can be and per value elsewhere.
+cells at a time (SPECTRA_BLOCK_ROWS), and the summary, each one byte matrix
+whose numbers come from _texts9: exactly the text fmt9 and _json9 give, in
+numpy where the note above _texts9 says it can be and per value elsewhere.
 Outputs, the csv pair as one, are written whole or not at all
 (write_atomic).
 """
@@ -30,14 +31,14 @@ from typing import Iterator
 
 import numpy as np
 
-from .circuit import AntennaReport, Spectrum, evaluate
+from .circuit import (AntennaReport, Spectrum, _bandwidths, _report,
+                      _s11_rows, _solve, directivity_dbi)
 from .config import RunConfig
 from .errors import ThzPatchError, ValidationError
 from .materials import GrapheneSheet
 from .patch import ConductorSpec, design_patch
 from .tables import (SPECTRA_HEADER, SUMMARY_HEADER, _json9, _json_list,
-                     _json_object, fmt9, format_table, summary_row,
-                     write_atomic)
+                     _json_object, fmt9, summary_row, write_atomic)
 
 
 @dataclass(frozen=True)
@@ -53,35 +54,47 @@ class SweepCellResult:
 
 
 def run_sweep(config: RunConfig) -> list[SweepCellResult]:
-    """Evaluate every cell of the sweep; cells record their own failures."""
+    """Evaluate every cell of the sweep; cells record their own failures.
+
+    Each cell is solved and checked alone, in evaluate's order, so a failing
+    cell records the message evaluate raises; the solved cells are then
+    sampled together, one row each of read-only (cells, points) arrays.
+    """
     geometry = design_patch(config.design_frequency, config.substrate)
-    band = config.frequency_band
-    points = config.frequency_points
-
-    cells: list[SweepCellResult] = []
-
-    def solve(variant: str, fermi_ev: float | None, tau_ps: float | None,
-              conductor: ConductorSpec) -> SweepCellResult:
-        try:
-            report, spectrum = evaluate(geometry, conductor, band, points)
-        except ThzPatchError as exc:
-            return SweepCellResult(variant, fermi_ev, tau_ps, None, None,
-                                   str(exc))
-        return SweepCellResult(variant, fermi_ev, tau_ps, report, spectrum,
-                               None)
-
+    band, points = config.frequency_band, config.frequency_points
+    grid = []
     for variant in config.variants:
-        if variant == "metal":
-            cells.append(solve("metal", None, None, ConductorSpec.metal()))
-            continue
-        for ef in config.fermi_levels:
-            for tau_ps in config.relaxation_times:
-                sheet = GrapheneSheet(fermi_level=ef,
-                                      relaxation_time=tau_ps * 1e-12,
-                                      temperature=config.temperature)
-                cells.append(solve("graphene", ef, tau_ps,
-                                   ConductorSpec.graphene(sheet)))
-    return cells
+        grid += ([("metal", None, None, ConductorSpec.metal())]
+                 if variant == "metal" else
+                 [("graphene", ef, tau_ps, ConductorSpec.graphene(
+                     GrapheneSheet(ef, tau_ps * 1e-12, config.temperature)))
+                  for ef in config.fermi_levels
+                  for tau_ps in config.relaxation_times])
+
+    errors, solved = [], []
+    for *_, conductor in grid:
+        try:
+            f_res, qf, r_peak, n_sq = _solve(geometry, conductor, band, points)
+            solved.append((f_res, qf, r_peak, n_sq,
+                           directivity_dbi(geometry, f_res)))
+            errors.append(None)
+        except ThzPatchError as exc:
+            errors.append(str(exc))
+
+    outcomes: Iterator[tuple[AntennaReport, Spectrum]] = iter(())
+    if solved:
+        freqs = np.linspace(band[0], band[1], points)
+        columns = np.array([(f, q.q_total, r, n) for f, q, r, n, _ in solved])
+        arrays = (freqs, *_s11_rows(freqs, *columns.T[:, :, None]))
+        for array in arrays:
+            array.setflags(write=False)
+        f_res, qf, _, _, d_dbi = zip(*solved)
+        outcomes = zip(map(_report, f_res, qf, d_dbi, arrays[1].min(axis=1),
+                           _bandwidths(freqs, arrays[1])),
+                       (Spectrum(freqs, *rows) for rows in zip(*arrays[1:])))
+    return [SweepCellResult(variant, ef, tau_ps, *(
+        (None, None) if error is not None else next(outcomes)), error)
+        for (variant, ef, tau_ps, _), error in zip(grid, errors)]
 
 
 # The spectra are written a block of cells at a time. A block is one byte
@@ -175,11 +188,11 @@ def _texts9(values: np.ndarray, json: bool) -> np.ndarray:
     texts = list(map(_json9 if json else fmt9, v[slow].tolist()))
     width = max([2 + 3 * len(groups), *map(len, texts)])
     out = np.zeros((len(v), width), np.uint8)
+    out[:, 0] = (v < 0) * np.uint8(ord("-"))
     fields = out.view(np.dtype({
-        "names": ["sign", *map(str, range(len(groups)))],
-        "formats": ["u1"] + ["<u4"] * len(groups),
-        "offsets": [0, *range(1, 3 * len(groups), 3)], "itemsize": width}))
-    fields["sign"][v < 0] = ord("-")
+        "names": list(map(str, range(len(groups)))),
+        "formats": ["<u4"] * len(groups),
+        "offsets": list(range(1, 3 * len(groups), 3)), "itemsize": width}))
     for i, group in enumerate(groups):
         fields[str(i)] = group[:, None]
     if texts:
@@ -198,47 +211,49 @@ def _ghz_texts(frequency: bytes) -> tuple[np.ndarray, np.ndarray]:
     return texts
 
 
-def _spectra(cells: list[SweepCellResult], json: bool) -> bytes:
-    """The cells' SPECTRA_HEADER rows, as CSV lines or as JSON objects
-    joined by ",\\n", in bytes from one byte matrix. Each row opens with
-    a \\1 that becomes its cell's fields, one replace per cell."""
-    columns = SPECTRA_HEADER.split(",")
+def _rows(header: str, json: bool, cells: list[SweepCellResult],
+          counts: list[int], numbers: list[np.ndarray]) -> bytes:
+    """The rows of header's columns, as CSV lines or as JSON objects joined
+    by ",\\n", in bytes from one byte matrix. Cell k fills counts[k] rows:
+    each opens with a \\1 that becomes the cell's three fields, one replace
+    a cell, and numbers holds the other columns' _texts9 matrices."""
+    columns = header.split(",")
+    slots = ["%s"] * 3 + ["\0"] * len(numbers)
     if json:
-        row = _json_object(columns, ["%s"] * 3 + ["\0"] * 4, "    ") + ",\n"
+        row = _json_object(columns, slots, "    ") + ",\n"
     else:
-        row = ",".join(["%s"] * 3 + ["\0"] * 4) + "\n"
+        row = ",".join(slots) + "\n"
     head, *seps = row.split("\0")
     key = _json9 if json else fmt9
+    rows = len(numbers[0])
+    block = np.concatenate([np.ones((rows, 1), np.uint8)] + [
+        np.broadcast_to(part, (rows, part.shape[-1]))
+        for texts, sep in zip(numbers, seps)
+        for part in (texts, np.frombuffer(sep.encode(), np.uint8))], axis=1)
+    out = [block[end - count:end].tobytes().translate(None, b"\0").replace(
+        b"\1", (head % tuple(map(key, (c.variant, c.fermi_ev, c.tau_ps))))
+        .encode()) for c, count, end in zip(cells, counts,
+                                            itertools.accumulate(counts))]
+    if json:
+        out[-1] = out[-1][:-2]
+    return b"".join(out)
+
+
+def _spectra(cells: list[SweepCellResult], json: bool) -> bytes:
+    """The cells' SPECTRA_HEADER rows (see _rows)."""
     spectra = [cell.spectrum for cell in cells]
     # Formatted once per grid; _ghz_texts reads the key back as float64.
     frequencies = [_ghz_texts(np.asarray(s.frequency, dtype=float).tobytes())
                    [json] for s in spectra]
-    values = _texts9(np.concatenate([(s.s11_db, s.input_resistance,
-                                      s.input_reactance) for s in spectra],
-                                    axis=1), json)
-    values = values.reshape(3, -1, values.shape[1])
     width = max(texts.shape[1] for texts in frequencies)
-    block = np.zeros((values.shape[1], 1 + width + len("".join(seps))
-                      + 3 * values.shape[2]), np.uint8)
-    block[:, 0] = 1
-    start = 1 + width
-    for i, sep in enumerate(seps):
-        for part in [np.frombuffer(sep.encode(), np.uint8), *values[i:i + 1]]:
-            block[:, start:start + part.shape[-1]] = part
-            start += part.shape[-1]
-    parts = []
-    row = 0
-    for cell, texts in zip(cells, frequencies):
-        rows = block[row:row + len(texts)]
-        rows[:, 1:1 + texts.shape[1]] = texts
-        row += len(texts)
-        fields = head % tuple(map(key, (cell.variant, cell.fermi_ev,
-                                        cell.tau_ps)))
-        parts.append(rows.tobytes().translate(None, b"\0")
-                     .replace(b"\1", fields.encode()))
-    if json:
-        parts[-1] = parts[-1][:-2]
-    return b"".join(parts)
+    values = _texts9(np.concatenate([getattr(s, name) for name in (
+        "s11_db", "input_resistance", "input_reactance") for s in spectra]),
+        json)
+    return _rows(SPECTRA_HEADER, json, cells, list(map(len, spectra)), [
+        np.concatenate([texts if texts.shape[1] == width else
+                        np.pad(texts, ((0, 0), (0, width - texts.shape[1])))
+                        for texts in frequencies]),
+        *values.reshape(3, -1, values.shape[1])])
 
 
 def _blocks(cells: list[SweepCellResult]) -> Iterator[list[SweepCellResult]]:
@@ -271,23 +286,22 @@ def emit(results: list[SweepCellResult], output_format: str,
         raise ValidationError(f"output path {path!r} does not name a file")
 
     solved = [cell for cell in results if cell.report is not None]
-    summary = [summary_row(c.variant, c.fermi_ev, c.tau_ps, c.report)
-               for c in solved]
-    if output_format == "csv":
-        files = [
-            (f"{path}_spectra.csv", itertools.chain(
-                [SPECTRA_HEADER + "\n"],
-                (_spectra(block, False) for block in _blocks(solved)))),
-            (f"{path}_summary.csv",
-             [format_table(SUMMARY_HEADER.split(","), summary)])]
-    else:
-        columns = SUMMARY_HEADER.split(",")
-        template = _json_object(columns, ["%s"] * len(columns), "    ")
+    json = output_format == "json"
+    spectra = (_spectra(block, json) for block in _blocks(solved))
+    summary = []
+    if solved:
+        numbers = np.array([summary_row(c.variant, c.fermi_ev, c.tau_ps,
+                                        c.report)[3:] for c in solved])
+        texts = _texts9(numbers, json).reshape(len(solved), 6, -1)
+        summary = [_rows(SUMMARY_HEADER, json, solved, [1] * len(solved),
+                         list(texts.transpose(1, 0, 2)))]
+    if json:
         files = [(f"{path}.json", itertools.chain(
-            ['{\n  "spectra": '], _json_list(
-                (_spectra(block, True) for block in _blocks(solved)), "  "),
-            [',\n  "summary": '], _json_list((
-                template % tuple(map(_json9, row)) for row in summary), "  "),
-            ["\n}\n"]))]
+            ['{\n  "spectra": '], _json_list(spectra, "  "),
+            [',\n  "summary": '], _json_list(summary, "  "), ["\n}\n"]))]
+    else:
+        files = [(f"{path}_spectra.csv", itertools.chain(
+                     [SPECTRA_HEADER + "\n"], spectra)),
+                 (f"{path}_summary.csv", [SUMMARY_HEADER + "\n", *summary])]
     write_atomic(files)
     return [file for file, _ in files]

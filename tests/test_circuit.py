@@ -303,6 +303,43 @@ def test_bandwidth_equals_the_sample_walk(levels):
         _bandwidth_by_loop(spectrum.frequency.tolist(), levels)
 
 
+LEVELS = st.sampled_from([-30.0, -20.0, -10.0, -9.0, -3.0, 0.0]) \
+    | st.floats(-40.0, 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 12).flatmap(lambda n: st.lists(
+    st.lists(LEVELS, min_size=n, max_size=n), min_size=1, max_size=6)))
+def test_band_kernel_on_stacked_rows_equals_one_row_calls(rows):
+    freqs = 200e9 + np.arange(len(rows[0])) * 1e9
+    stacked = circuit._bandwidths(freqs, np.array(rows))
+    assert stacked.tolist() == [
+        circuit._bandwidths(freqs, np.array([row]))[0] for row in rows]
+    assert stacked.tolist() == [
+        _bandwidth_by_loop(freqs.tolist(), row) for row in rows]
+
+
+@pytest.mark.parametrize("levels,expected_steps", [
+    ([-20.0, -15.0, -5.0, 0.0], 1.5),          # dip runs into the low edge
+    ([0.0, -5.0, -15.0, -20.0], 1.5),          # dip runs into the high edge
+    ([0.0, -10.0, -20.0, -10.0, 0.0], 2.0),    # samples exactly at -10 dB
+    ([0.0, -10.0, 0.0], 0.0),                  # a dip that only touches it
+    ([0.0, -20.0, 0.0, -20.0, -20.0, 0.0], 1.0),  # tied minima: the first
+    ([0.0, -15.0, 0.0, -30.0, -30.0, -30.0, 0.0], 10 / 3),  # deeper 2nd dip
+    ([-3.0, -9.99, -5.0], 0.0),                # nothing below -10 dB
+], ids=["low-edge", "high-edge", "at-threshold", "touches-threshold",
+        "tied-minimum", "deeper-second-dip", "no-dip"])
+def test_band_kernel_fixed_cases(levels, expected_steps):
+    spectrum = _flat_spectrum(levels)
+    width = bandwidth_minus10db(spectrum)
+    assert width == pytest.approx(expected_steps * 1e9, rel=1e-12)
+    assert width == _bandwidth_by_loop(spectrum.frequency.tolist(), levels)
+    # The same row among others gives the same width.
+    rows = np.array([levels, levels[::-1], [0.0] * len(levels), levels])
+    assert circuit._bandwidths(spectrum.frequency, rows)[[0, 3]].tolist() \
+        == [width, width]
+
+
 def test_bandwidth_zero_when_dip_is_shallow():
     assert bandwidth_minus10db(_flat_spectrum([-3, -8, -9.5, -8, -3])) == 0.0
 

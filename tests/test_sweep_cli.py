@@ -12,12 +12,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from thzpatch import (SPECTRA_HEADER, SUMMARY_HEADER, NoBoundModeError,
-                      Spectrum, SweepCellResult, ValidationError, circuit, cli,
-                      cli_main, emit, evaluate, fdtd, mutual_conductance_ratio,
+from thzpatch import (SPECTRA_HEADER, SUMMARY_HEADER, ConductorSpec,
+                      GrapheneSheet, NoBoundModeError, RunConfig, Spectrum,
+                      SubstrateSpec, SweepCellResult, ThzPatchError,
+                      ValidationError, circuit, cli, cli_main, design_patch,
+                      emit, evaluate, fdtd, mutual_conductance_ratio,
                       parse_config, run_sweep, sweep)
 from thzpatch.errors import MAX_POINTS
 from thzpatch.tables import (_json9, fmt9, format_table, summary_row,
@@ -480,6 +482,74 @@ def test_sweep_solves_each_variant_once_and_the_feed_once(monkeypatch):
     assert len(solved) == 16
 
 
+SPECTRUM_FIELDS = ("frequency", "s11_db", "input_resistance",
+                   "input_reactance")
+
+
+@settings(max_examples=60, deadline=None)
+@given(fermi_levels=st.lists(st.floats(0.05, 2.0), min_size=1, max_size=3),
+       relaxation_times=st.lists(st.floats(0.06, 4.9), min_size=1,
+                                 max_size=3),
+       eps_r=st.floats(1.5, 12.0), h_um=st.floats(10.0, 100.0),
+       f0_ghz=st.floats(100.0, 600.0),
+       band_ghz=st.lists(st.floats(10.0, 3000.0), min_size=2, max_size=2,
+                         unique=True)
+       .map(sorted), points=st.integers(2, 60), fault=st.integers(0, 7),
+       variants=st.sampled_from([["metal", "graphene"], ["graphene"],
+                                 ["graphene", "metal"]]))
+def test_sweep_matches_evaluate_cell_by_cell(fermi_levels, relaxation_times,
+                                             eps_r, h_um, f0_ghz, band_ghz,
+                                             points, fault, variants):
+    # Built directly, the config can hold a grid that require_grid rejects
+    # (a reversed band, too few or too many points): every cell then fails.
+    band = tuple(f * 1e9 for f in (band_ghz[::-1] if fault == 0
+                                   else band_ghz))
+    points = {1: 1, 2: MAX_POINTS + 1}.get(fault, points)
+    config = RunConfig(
+        substrate=SubstrateSpec(eps_r, 0.0027, h_um * 1e-6),
+        design_frequency=f0_ghz * 1e9, fermi_levels=fermi_levels,
+        relaxation_times=relaxation_times, frequency_band=band,
+        frequency_points=points, variants=variants, temperature=300.0,
+        output_format="csv", output_path="unused")
+    try:
+        geometry = design_patch(config.design_frequency, config.substrate)
+    except ThzPatchError as exc:
+        with pytest.raises(type(exc)):
+            run_sweep(config)
+        return
+    cells = run_sweep(config)
+    assert len(cells) == len(variants) - 1 \
+        + len(fermi_levels) * len(relaxation_times)
+    for cell in cells:
+        conductor = ConductorSpec.metal() if cell.variant == "metal" else \
+            ConductorSpec.graphene(GrapheneSheet(
+                cell.fermi_ev, cell.tau_ps * 1e-12, config.temperature))
+        try:
+            report, spectrum = evaluate(geometry, conductor, band, points)
+        except ThzPatchError as exc:
+            assert (cell.report, cell.spectrum, cell.error) == \
+                (None, None, str(exc))
+            continue
+        assert cell.error is None
+        assert [x.hex() for x in dataclasses.astuple(cell.report)] == \
+            [x.hex() for x in dataclasses.astuple(report)]
+        for name in SPECTRUM_FIELDS:
+            assert getattr(cell.spectrum, name).tobytes() == \
+                getattr(spectrum, name).tobytes()
+
+
+def test_sweep_cell_spectra_are_read_only_rows_of_shared_arrays(
+        small_results):
+    spectrum = small_results[1].spectrum
+    for name in SPECTRUM_FIELDS:
+        array = getattr(spectrum, name)
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+    assert all(cell.spectrum.frequency is spectrum.frequency
+               for cell in small_results)
+
+
 def test_metal_summary_golden_row(tmp_path, paper_results):
     emit(paper_results, "csv", str(tmp_path / "paper"))
     summary = (tmp_path / "paper_summary.csv").read_text().splitlines()
@@ -588,6 +658,27 @@ def test_cli_sweep_config_not_in_utf8_is_a_usage_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"error: {bad}: not UTF-8 at byte 0" in err
     assert "Traceback" not in err
+
+
+def test_cli_sweep_accepts_a_byte_order_mark(tmp_path, capsys):
+    # As some editors save UTF-8: the BOM copy writes the plain config's
+    # bytes.
+    text = (ROOT / "paper.cfg").read_bytes()
+    (tmp_path / "plain.cfg").write_bytes(text)
+    (tmp_path / "bom.cfg").write_bytes(b"\xef\xbb\xbf" + text)
+    for name in ("plain", "bom"):
+        for fmt in ("csv", "json"):
+            assert cli_main(["sweep", str(tmp_path / f"{name}.cfg"),
+                             "--format", fmt, "--out", str(tmp_path / name),
+                             "--quiet"]) == 0
+    for suffix in ("_spectra.csv", "_summary.csv", ".json"):
+        assert (tmp_path / f"bom{suffix}").read_bytes() == \
+            (tmp_path / f"plain{suffix}").read_bytes()
+    # A byte that is not UTF-8 is still placed from the start of the file.
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"\xef\xbb\xbf#\xff\n")
+    assert cli_main(["sweep", str(bad)]) == 1
+    assert f"error: {bad}: not UTF-8 at byte 4" in capsys.readouterr().err
 
 
 def test_cli_missing_unit_is_a_usage_error(capsys):
@@ -869,15 +960,15 @@ def test_cli_inputs_that_raised_tracebacks(capsys, args, code, message):
 
 
 def test_cli_sweep_reports_failed_cells(monkeypatch, tmp_path, capsys):
-    # No real sweep input fails a single cell: evaluate is made to fail for
-    # the 0.6 eV row. The cells record it, stderr names them, and the rest
-    # is written.
+    # No real sweep input fails a single cell: the per-cell solve is made to
+    # fail for the 0.6 eV row. The cells record it, stderr names them, and
+    # the rest is written.
     def failing(geometry, conductor, band, points):
         if conductor.sheet is not None and conductor.sheet.fermi_level == 0.6:
             raise NoBoundModeError("forced failure")
-        return evaluate(geometry, conductor, band, points)
+        return circuit._solve(geometry, conductor, band, points)
 
-    monkeypatch.setattr(sweep, "evaluate", failing)
+    monkeypatch.setattr(sweep, "_solve", failing)
     cells = run_sweep(parse_config(SMALL_CONFIG))
     assert [c.error for c in cells] == [None, None, None, "forced failure",
                                         "forced failure"]
