@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation
+from decimal import ROUND_FLOOR, Decimal, InvalidOperation
 
 from .errors import ConfigError, UnitError, ValidationError, require_grid
 from .materials import GrapheneSheet
@@ -157,16 +157,21 @@ def parse_quantity_list(text: str, dimension: str, key: str,
     scale = quantities[2][1]
     # Step the literals exactly, in the step's unit, from an integer
     # count: a range yields the floats of the comma list it abbreviates.
-    start, stop, step = (n * Decimal(str(s)) / Decimal(str(scale))
-                         for n, s in quantities)
-    if step <= 0 or stop < start:
-        raise ConfigError(f"{_ctx(key, line)}: need step > 0 and "
-                          f"stop >= start")
-    count = int((stop - start) / step)
-    if count + 1 > MAX_LIST_LENGTH:
-        raise ConfigError(f"{_ctx(key, line)}: range has {count + 1} "
+    # A count past Decimal's 28 digits is rounded, and prints in E form.
+    try:
+        start, stop, step = (n * Decimal(str(s)) / Decimal(str(scale))
+                             for n, s in quantities)
+        if step <= 0 or stop < start:
+            raise ConfigError(f"{_ctx(key, line)}: need step > 0 and "
+                              f"stop >= start")
+        entries = ((stop - start) / step).to_integral_value(ROUND_FLOOR) + 1
+    except ArithmeticError:
+        raise ConfigError(f"{_ctx(key, line)}: number too large in range "
+                          f"{text!r}") from None
+    if entries > MAX_LIST_LENGTH:
+        raise ConfigError(f"{_ctx(key, line)}: range has {entries} "
                           f"entries, more than {MAX_LIST_LENGTH}")
-    return [float(start + k * step) * scale for k in range(count + 1)]
+    return [float(start + k * step) * scale for k in range(int(entries))]
 
 
 # Every key of each section, in the order a missing one is reported. No

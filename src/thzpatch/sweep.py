@@ -13,10 +13,11 @@ writer live in tables (numpy-free, so the CLI can write without this
 module); sweep keeps only what needs numpy. CSV output is a pair of files
 (spectra and summary); JSON mirrors the same fields in one document. Metal
 cells have no Fermi level or relaxation time: empty fields in CSV, null in
-JSON. emit writes the spectra, the bulk of a sweep's output, a block of
-cells at a time (SPECTRA_BLOCK_ROWS), and the summary, each one byte matrix
-whose numbers come from _texts9: exactly the text fmt9 and _json9 give, in
-numpy where the note above _texts9 says it can be and per value elsewhere.
+JSON. emit formats each cell's key fields once and writes the spectra, the
+bulk of a sweep's output, in runs of cells of at most SPECTRA_BLOCK_ROWS
+rows, and the summary, each one byte matrix whose numbers come from
+_texts9: exactly the text fmt9 and _json9 give, in numpy where the note
+above _texts9 says it can be and per value elsewhere.
 Outputs, the csv pair as one, are written whole or not at all
 (write_atomic).
 """
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import os
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -37,8 +37,9 @@ from .config import RunConfig
 from .errors import ThzPatchError, ValidationError
 from .materials import GrapheneSheet
 from .patch import ConductorSpec, design_patch
-from .tables import (SPECTRA_HEADER, SUMMARY_HEADER, _json9, _json_list,
-                     _json_object, fmt9, summary_row, write_atomic)
+from .tables import (SPECTRA_HEADER, SUMMARY_HEADER, _check_path, _json9,
+                     _json_list, _json_object, fmt9, summary_row,
+                     write_atomic)
 
 
 @dataclass(frozen=True)
@@ -97,9 +98,10 @@ def run_sweep(config: RunConfig) -> list[SweepCellResult]:
         for (variant, ef, tau_ps, _), error in zip(grid, errors)]
 
 
-# The spectra are written a block of cells at a time. A block is one byte
-# matrix with a row per spectrum point and a fixed-width slot per field; a
-# slot's unused tail holds NUL bytes, dropped when the block becomes text.
+# The spectra are written in blocks, each as many cells (at least one) as
+# SPECTRA_BLOCK_ROWS holds at the longest spectrum's length. A block is one
+# byte matrix with a row per spectrum point and a fixed-width slot per
+# field; a slot's unused tail holds NUL bytes, dropped in the text.
 # A JSON row's slots take 136 bytes (CSV's 76) for |values| < 1000, so a
 # block of SPECTRA_BLOCK_ROWS is at most about 1 MiB of matrix.
 SPECTRA_BLOCK_ROWS = 7710
@@ -189,12 +191,8 @@ def _texts9(values: np.ndarray, json: bool) -> np.ndarray:
     width = max([2 + 3 * len(groups), *map(len, texts)])
     out = np.zeros((len(v), width), np.uint8)
     out[:, 0] = (v < 0) * np.uint8(ord("-"))
-    fields = out.view(np.dtype({
-        "names": list(map(str, range(len(groups)))),
-        "formats": ["<u4"] * len(groups),
-        "offsets": list(range(1, 3 * len(groups), 3)), "itemsize": width}))
     for i, group in enumerate(groups):
-        fields[str(i)] = group[:, None]
+        out[:, 1 + 3 * i:5 + 3 * i].view("<u4")[:, 0] = group
     if texts:
         out[slow] = np.array(texts, f"S{width}").view(np.uint8).reshape(
             -1, width)
@@ -211,12 +209,12 @@ def _ghz_texts(frequency: bytes) -> tuple[np.ndarray, np.ndarray]:
     return texts
 
 
-def _rows(header: str, json: bool, cells: list[SweepCellResult],
+def _rows(header: str, json: bool, keys: list[tuple[str, str, str]],
           counts: list[int], numbers: list[np.ndarray]) -> bytes:
     """The rows of header's columns, as CSV lines or as JSON objects joined
     by ",\\n", in bytes from one byte matrix. Cell k fills counts[k] rows:
-    each opens with a \\1 that becomes the cell's three fields, one replace
-    a cell, and numbers holds the other columns' _texts9 matrices."""
+    each opens with a \\1 that becomes keys[k], its three key texts, one
+    replace a cell, and numbers holds the other columns' _texts9 matrices."""
     columns = header.split(",")
     slots = ["%s"] * 3 + ["\0"] * len(numbers)
     if json:
@@ -224,24 +222,22 @@ def _rows(header: str, json: bool, cells: list[SweepCellResult],
     else:
         row = ",".join(slots) + "\n"
     head, *seps = row.split("\0")
-    key = _json9 if json else fmt9
     rows = len(numbers[0])
     block = np.concatenate([np.ones((rows, 1), np.uint8)] + [
         np.broadcast_to(part, (rows, part.shape[-1]))
         for texts, sep in zip(numbers, seps)
         for part in (texts, np.frombuffer(sep.encode(), np.uint8))], axis=1)
     out = [block[end - count:end].tobytes().translate(None, b"\0").replace(
-        b"\1", (head % tuple(map(key, (c.variant, c.fermi_ev, c.tau_ps))))
-        .encode()) for c, count, end in zip(cells, counts,
-                                            itertools.accumulate(counts))]
+        b"\1", (head % key).encode())
+        for key, count, end in zip(keys, counts, itertools.accumulate(counts))]
     if json:
         out[-1] = out[-1][:-2]
     return b"".join(out)
 
 
-def _spectra(cells: list[SweepCellResult], json: bool) -> bytes:
-    """The cells' SPECTRA_HEADER rows (see _rows)."""
-    spectra = [cell.spectrum for cell in cells]
+def _spectra(spectra: list[Spectrum], keys: list[tuple[str, str, str]],
+             json: bool) -> bytes:
+    """The SPECTRA_HEADER rows of spectra, keyed by keys (see _rows)."""
     # Formatted once per grid; _ghz_texts reads the key back as float64.
     frequencies = [_ghz_texts(np.asarray(s.frequency, dtype=float).tobytes())
                    [json] for s in spectra]
@@ -249,26 +245,11 @@ def _spectra(cells: list[SweepCellResult], json: bool) -> bytes:
     values = _texts9(np.concatenate([getattr(s, name) for name in (
         "s11_db", "input_resistance", "input_reactance") for s in spectra]),
         json)
-    return _rows(SPECTRA_HEADER, json, cells, list(map(len, spectra)), [
+    return _rows(SPECTRA_HEADER, json, keys, list(map(len, spectra)), [
         np.concatenate([texts if texts.shape[1] == width else
                         np.pad(texts, ((0, 0), (0, width - texts.shape[1])))
                         for texts in frequencies]),
         *values.reshape(3, -1, values.shape[1])])
-
-
-def _blocks(cells: list[SweepCellResult]) -> Iterator[list[SweepCellResult]]:
-    """The cells in order, in runs of SPECTRA_BLOCK_ROWS rows or fewer; a
-    cell with more rows than that is a run of its own."""
-    block: list[SweepCellResult] = []
-    rows = 0
-    for cell in cells:
-        if block and rows + len(cell.spectrum) > SPECTRA_BLOCK_ROWS:
-            yield block
-            block, rows = [], 0
-        block.append(cell)
-        rows += len(cell.spectrum)
-    if block:
-        yield block
 
 
 def emit(results: list[SweepCellResult], output_format: str,
@@ -282,26 +263,30 @@ def emit(results: list[SweepCellResult], output_format: str,
     """
     if output_format not in ("csv", "json"):
         raise ValidationError("output_format must be csv or json")
-    if not os.path.basename(path):
-        raise ValidationError(f"output path {path!r} does not name a file")
+    _check_path(path)
 
     solved = [cell for cell in results if cell.report is not None]
     json = output_format == "json"
-    spectra = (_spectra(block, json) for block in _blocks(solved))
+    key = _json9 if json else fmt9
+    keys = [(key(c.variant), key(c.fermi_ev), key(c.tau_ps)) for c in solved]
+    spectra = [cell.spectrum for cell in solved]
+    run = max(1, SPECTRA_BLOCK_ROWS // max(map(len, spectra), default=1))
+    blocks = (_spectra(spectra[i:i + run], keys[i:i + run], json)
+              for i in range(0, len(solved), run))
     summary = []
     if solved:
         numbers = np.array([summary_row(c.variant, c.fermi_ev, c.tau_ps,
                                         c.report)[3:] for c in solved])
         texts = _texts9(numbers, json).reshape(len(solved), 6, -1)
-        summary = [_rows(SUMMARY_HEADER, json, solved, [1] * len(solved),
+        summary = [_rows(SUMMARY_HEADER, json, keys, [1] * len(solved),
                          list(texts.transpose(1, 0, 2)))]
     if json:
         files = [(f"{path}.json", itertools.chain(
-            ['{\n  "spectra": '], _json_list(spectra, "  "),
+            ['{\n  "spectra": '], _json_list(blocks, "  "),
             [',\n  "summary": '], _json_list(summary, "  "), ["\n}\n"]))]
     else:
         files = [(f"{path}_spectra.csv", itertools.chain(
-                     [SPECTRA_HEADER + "\n"], spectra)),
+                     [SPECTRA_HEADER + "\n"], blocks)),
                  (f"{path}_summary.csv", [SUMMARY_HEADER + "\n", *summary])]
     write_atomic(files)
     return [file for file, _ in files]

@@ -46,10 +46,17 @@ def summary_row(variant: str, fermi_ev: float | None, tau_ps: float | None,
             report.efficiency, report.directivity_dbi, report.gain_dbi)
 
 
+def _check_path(path: str) -> None:
+    """Fail unless path can name a file to write: it has a file name, holds
+    no NUL byte and is not a directory."""
+    if "\0" in path or not os.path.basename(path) or os.path.isdir(path):
+        raise ValidationError(f"output path {path!r} does not name a file")
+
+
 def write_atomic(files: list[tuple[str, Iterable[str | bytes]]]) -> None:
     """Write each (path, chunks) pair's chunks to its path: all or none.
 
-    Every path is checked first: one naming no file, or a directory, fails.
+    Every path is checked first (_check_path).
     Missing parents are made. A bytes chunk is written as it is, a str
     chunk as UTF-8 whatever the locale. Each file goes to a temporary file
     beside its path; the temporary files replace their paths only once all
@@ -59,8 +66,7 @@ def write_atomic(files: list[tuple[str, Iterable[str | bytes]]]) -> None:
     removed, and so are the temporary files.
     """
     for path, _ in files:
-        if not os.path.basename(path) or os.path.isdir(path):
-            raise ValidationError(f"output path {path!r} does not name a file")
+        _check_path(path)
     tmps: list[str] = []
     replaced: list[tuple[str, str | None]] = []   # (path, its kept file)
     try:

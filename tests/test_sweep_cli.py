@@ -197,35 +197,67 @@ def test_emit_formats_each_frequency_grid_as_its_own(tmp_path, small_results):
             _assert_emit_matches_reference(tmp_path, results, fmt)
 
 
+def _spy_on_blocks(monkeypatch):
+    """The spectrum lengths of each block that emit passes to _spectra."""
+    real, blocks = sweep._spectra, []
+
+    def spy(spectra, keys, json):
+        blocks.append([len(s) for s in spectra])
+        return real(spectra, keys, json)
+
+    monkeypatch.setattr(sweep, "_spectra", spy)
+    return blocks
+
+
 def test_emit_matches_the_reference_across_block_edges(tmp_path,
                                                        monkeypatch,
                                                        small_results):
     # Blocks of 1, 2 and 3 cells, and one cell per block with more rows
     # than a block holds.
+    blocks = _spy_on_blocks(monkeypatch)
     for rows in (11, 22, 33, 5):
         monkeypatch.setattr(sweep, "SPECTRA_BLOCK_ROWS", rows)
-        assert len(list(sweep._blocks(small_results))) == \
-            {11: 5, 22: 3, 33: 2, 5: 5}[rows]
         for fmt in ("csv", "json"):
+            blocks.clear()
             _assert_emit_matches_reference(tmp_path, small_results, fmt)
+            assert len(blocks) == {11: 5, 22: 3, 33: 2, 5: 5}[rows]
 
 
 def test_emit_matches_the_reference_on_mixed_grids(tmp_path, monkeypatch,
                                                    small_results):
     # Cells of 11 and of 37 points, whose frequency texts differ in length
-    # too: all in one block, then in blocks of at most 48 rows, one of which
-    # holds a cell of each grid.
+    # too: all in one block, then in blocks of two cells (74 rows), one of
+    # which holds a cell of each grid.
     longer = run_sweep(parse_config(SMALL_CONFIG.replace(
         "band = 220, 325 GHz\npoints = 11",
         "band = 230, 320.5 GHz\npoints = 37")))
     mixed = small_results + longer
-    for rows in (None, 48):
+    blocks = _spy_on_blocks(monkeypatch)
+    for rows in (None, 74):
         if rows:
             monkeypatch.setattr(sweep, "SPECTRA_BLOCK_ROWS", rows)
-        assert any(len({len(c.spectrum) for c in block}) == 2
-                   for block in sweep._blocks(mixed))
         for fmt in ("csv", "json"):
+            blocks.clear()
             _assert_emit_matches_reference(tmp_path, mixed, fmt)
+            assert len(blocks) == (1 if rows is None else 5)
+            assert any(len(set(block)) == 2 for block in blocks)
+
+
+def test_emit_formats_each_cells_key_fields_once(tmp_path, monkeypatch,
+                                                 small_results):
+    # One emit writes each solved cell's variant into both tables from a
+    # single text.
+    for fmt, name in (("csv", "fmt9"), ("json", "_json9")):
+        real, variants = getattr(sweep, name), []
+
+        def counting(value, real=real, variants=variants):
+            if isinstance(value, str):
+                variants.append(value)
+            return real(value)
+
+        monkeypatch.setattr(sweep, name, counting)
+        _assert_emit_matches_reference(tmp_path, small_results, fmt)
+        assert variants == [c.variant for c in small_results]
 
 
 def _kernel_texts(values, json):
@@ -294,18 +326,19 @@ def test_emit_writes_non_finite_spectra_as_the_reference_writer(
 def _assert_spectra_formatters_match(columns):
     """_spectra of a cell with these four columns gives format_table's
     rows as CSV and json.dumps's layout of json_records as JSON."""
-    cell = SweepCellResult("graphene", 0.3, 1.2, None,
-                           Spectrum(*map(np.array, columns)), None)
+    spectrum = Spectrum(*map(np.array, columns))
     rows = [("graphene", 0.3, 1.2, p.frequency / 1e9, p.s11_db,
-             p.input_resistance, p.input_reactance) for p in cell.spectrum]
+             p.input_resistance, p.input_reactance) for p in spectrum]
     table = format_table(SPECTRA_HEADER.split(","), rows)
-    assert sweep._spectra([cell], False).decode() == table.split("\n", 1)[1]
+    assert sweep._spectra([spectrum], [("graphene", "0.3", "1.2")],
+                          False).decode() == table.split("\n", 1)[1]
     # json.dumps lays a top-level list out two spaces shallower than the
     # objects of the sweep document's member lists.
     listed = json.dumps(json_records(SPECTRA_HEADER.split(","), rows),
                         indent=2)
     expected = "\n".join("  " + line for line in listed.splitlines()[1:-1])
-    assert sweep._spectra([cell], True).decode() == expected
+    assert sweep._spectra([spectrum], [('"graphene"', "0.3", "1.2")],
+                          True).decode() == expected
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False))
@@ -431,11 +464,11 @@ def test_a_failed_emit_leaves_no_partial_file(tmp_path, monkeypatch,
     real = sweep._spectra
     written = []
 
-    def fail_on_second_block(cells, json):
+    def fail_on_second_block(spectra, keys, json):
         if len(written) == 1:
             raise RuntimeError("formatter failed")
-        written.append(cells)
-        return real(cells, json)
+        written.append(spectra)
+        return real(spectra, keys, json)
 
     # One cell of 11 points per block: the file fails after its first block.
     monkeypatch.setattr(sweep, "SPECTRA_BLOCK_ROWS", 11)
@@ -744,6 +777,28 @@ def test_cli_spp_range_longer_than_the_cap_is_a_usage_error(capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert f"range has 900000000001 entries, more than {MAX_LIST_LENGTH}" in err
+
+
+def test_cli_spp_range_past_decimals_exponent_is_a_usage_error(capsys):
+    # 1e999999999 GHz overflows Decimal's largest exponent once put in Hz.
+    assert cli_main(["spp", "--ef", "1eV", "--tau", "1ps",
+                     "--f", "1:1e999999999:1 GHz"]) == 1
+    assert capsys.readouterr().err == \
+        "error: '--f': number too large in range '1:1e999999999:1 GHz'\n"
+
+
+def test_cli_sweep_range_whose_count_has_a_million_digits_is_a_usage_error(
+        tmp_path, capsys):
+    # The count, ~3.3e999999, has more digits than Python prints of an int.
+    from thzpatch.config import MAX_LIST_LENGTH
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SMALL_CONFIG.replace("fermi_levels = 0.3, 0.6 eV",
+                                        "fermi_levels = 0.3:1e999999:0.3 eV"))
+    assert cli_main(["sweep", str(cfg), "--quiet"]) == 1
+    assert capsys.readouterr().err == (
+        "error: line 10: key 'fermi_levels': range has "
+        f"3.333333333333333333333333333E+999999 entries, more than "
+        f"{MAX_LIST_LENGTH}\n")
 
 
 @pytest.mark.parametrize("halfspaces", [[], ["--eps-above", "1",
@@ -1145,11 +1200,13 @@ def test_cli_sweep_csv_pair_is_written_whole_or_not_at_all(tmp_path,
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("out", ["", "dir/"], ids=["empty", "directory"])
+@pytest.mark.parametrize("out", ["", "dir/", "dir"],
+                         ids=["empty", "directory", "directory-name"])
 def test_cli_sweep_out_that_names_no_file_is_a_usage_error(
         tmp_path, monkeypatch, capsys, out, fmt):
-    # An empty --out does not fall back to the config's path, and a base
-    # with an empty file name does not write "_spectra.csv" or ".json".
+    # An empty --out does not fall back to the config's path, a base with
+    # an empty file name does not write "_spectra.csv" or ".json", and a
+    # base that is a directory does not write files beside it.
     monkeypatch.chdir(tmp_path)
     (tmp_path / "dir").mkdir()
     (tmp_path / "sweep.cfg").write_text(SMALL_CONFIG)
@@ -1159,6 +1216,24 @@ def test_cli_sweep_out_that_names_no_file_is_a_usage_error(
         f"error: output path {out!r} does not name a file\n"
     assert sorted(os.listdir(tmp_path)) == ["dir", "sweep.cfg"]
     assert os.listdir(tmp_path / "dir") == []
+
+
+def test_cli_sweep_path_with_a_nul_byte_is_a_usage_error(tmp_path,
+                                                        monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sweep.cfg").write_text(
+        SMALL_CONFIG.replace("path = out", "path = o\0ut"))
+    assert cli_main(["sweep", "sweep.cfg", "--quiet"]) == 1
+    assert capsys.readouterr().err == \
+        "error: output path 'o\\x00ut' does not name a file\n"
+    assert os.listdir(tmp_path) == ["sweep.cfg"]
+
+
+def test_emit_rejects_a_path_with_a_nul_byte(tmp_path, small_results):
+    for fmt in ("csv", "json"):
+        with pytest.raises(ValidationError, match="does not name a file"):
+            emit(small_results, fmt, str(tmp_path / "o\0ut"))
+    assert os.listdir(tmp_path) == []
 
 
 def test_cli_sweep_missing_file(tmp_path, capsys):
